@@ -30,8 +30,6 @@
 #include "parallel/trial_runner.h"
 #include "problems/generators.h"
 #include "problems/reference.h"
-#include "sorting/merge_sort.h"
-#include "stmodel/st_context.h"
 #include "util/bitstring.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -262,41 +260,6 @@ void RunFixedXAblation(TrialRunner& runner, BenchRecorder& recorder) {
   std::cout << "\n";
 }
 
-void RunKWayAblation() {
-  Table table("A4: k-way merge sort — tapes vs scans (Definition 1"
-              " accounting)",
-              {"k (aux tapes)", "passes", "scan bound r", "int.bits"});
-  Rng rng(0xAB4);
-  std::vector<std::string> fields;
-  for (std::size_t i = 0; i < 1024; ++i) {
-    fields.push_back(BitString::Random(16, rng).ToString());
-  }
-  std::string input;
-  for (const auto& f : fields) {
-    input += f;
-    input += '#';
-  }
-  for (std::size_t k : {2u, 3u, 4u, 6u, 8u, 12u}) {
-    rstlab::stmodel::StContext ctx(1 + k);
-    ctx.LoadInput(input);
-    std::vector<std::size_t> aux;
-    for (std::size_t i = 1; i <= k; ++i) aux.push_back(i);
-    rstlab::sorting::SortStats stats;
-    if (!rstlab::sorting::SortFieldsOnTapesKWay(ctx, 0, aux, &stats)
-             .ok()) {
-      continue;
-    }
-    table.AddRow({std::to_string(k), std::to_string(stats.passes),
-                  std::to_string(ctx.Report().scan_bound),
-                  std::to_string(ctx.Report().internal_space)});
-  }
-  table.Print(std::cout);
-  std::cout << "  passes shrink as ceil(log_k m), but r sums reversals"
-               " over ALL tapes, so each pass costs ~2k rewinds — the"
-               " measured optimum sits at moderate k, a trade-off the"
-               " model's own cost definition makes visible.\n\n";
-}
-
 void BM_ParamsSampling(benchmark::State& state) {
   Rng rng(1);
   for (auto _ : state) {
@@ -329,7 +292,6 @@ int main(int argc, char** argv) {
   RunModulusAblation(runner, recorder);
   RunFixedPrimeAdversary(runner, recorder);
   RunFixedXAblation(runner, recorder);
-  RunKWayAblation();
   if (auto written = recorder.Write(); written.ok()) {
     std::cout << "trial timings -> " << written.value() << "\n\n";
   } else {

@@ -5,13 +5,16 @@
 // The table reports measured scans vs input size and the least-squares
 // fit scans ~= a*log2(N) + b; the paper predicts a positive constant
 // slope (tightness of the Theorem 6 lower bound at r = Theta(log N)).
+// E3a-c run the deciders at the Corollary 7 sort geometry (fanout 2,
+// run length 1, `PaperSortConfig`): at the default run length every
+// m <= 1024 sorts in one formation run and the scan count is flat.
 //
-// The E3d/E3e tables measure the parallel k-way external sort: thread
-// scaling at a fixed reversal budget (the measured (r, s) and the
-// output checksum must be identical at every thread count), and the
-// single-thread loser-tree k-way merge against the binary-cascade seed
-// sort. E3d's field count scales via RSTLAB_SORT_BENCH_FIELDS — the
-// GB-scale runs in EXPERIMENTS.md set it to tens of millions.
+// The E3d/E3e tables measure the k-way external sort: thread scaling at
+// a fixed reversal budget (the measured (r, s) and the output checksum
+// must be identical at every thread count), and a single-thread fanout
+// sweep showing the passes / scans / internal-bits trade-off. E3d's
+// field count scales via RSTLAB_SORT_BENCH_FIELDS — the GB-scale runs
+// in EXPERIMENTS.md set it to tens of millions.
 
 #include <chrono>
 #include <cstdlib>
@@ -28,7 +31,6 @@
 #include "problems/generators.h"
 #include "problems/reference.h"
 #include "sorting/deciders.h"
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
@@ -90,43 +92,20 @@ std::uint64_t ContentChecksum(rstlab::stmodel::StContext& ctx,
   return h;
 }
 
-/// E3d: thread scaling of the parallel k-way sort at a fixed reversal
-/// budget. The serial seed sort (binary cascade) is the baseline; the
-/// k=16 rows must agree with each other in scans, int.bits and output
+/// E3d: thread scaling of the k-way sort at a fixed reversal budget.
+/// The rows must agree with each other in scans, int.bits and output
 /// checksum at every thread count — only the wall time may move.
 void RunParallelSortTable(BenchRecorder& recorder) {
   const std::size_t m = EnvFields(1u << 17);
   const std::size_t n = 16;
   Table table("E3d: parallel k-way sort, m=" + std::to_string(m) +
                   " n=" + std::to_string(n) + " (k=16)",
-              {"config", "threads", "sec", "speedup", "scans", "int.bits",
+              {"threads", "sec", "speedup", "scans", "int.bits",
                "checksum"});
   Rng rng(0xE3D);
   const std::string input = RandomFields(m, n, rng);
 
-  double seed_wall = 0.0;
-  {
-    rstlab::stmodel::StContext ctx(3);
-    ctx.LoadInput(input);
-    const auto start = std::chrono::steady_clock::now();
-    if (rstlab::Status s = rstlab::sorting::SortFieldsOnTapes(ctx, 0, 1, 2);
-        !s.ok()) {
-      std::cerr << "E3d seed sort: " << s << "\n";
-      return;
-    }
-    seed_wall = Seconds(start);
-    const auto report = ctx.Report();
-    const std::uint64_t checksum = ContentChecksum(ctx, 0);
-    table.AddRow({"seed binary cascade", "1", FormatDouble(seed_wall),
-                  "1.0", std::to_string(report.scan_bound),
-                  std::to_string(report.internal_space),
-                  std::to_string(checksum % 100000)});
-    recorder.Record("E3d_seed_sort_m" + std::to_string(m), /*trials=*/m,
-                    seed_wall,
-                    Checksum64({checksum, report.scan_bound,
-                                report.internal_space}));
-  }
-
+  double base_wall = 0.0;
   std::uint64_t base_scans = 0;
   std::uint64_t base_checksum = 0;
   std::size_t base_bits = 0;
@@ -148,6 +127,7 @@ void RunParallelSortTable(BenchRecorder& recorder) {
     const auto report = ctx.Report();
     const std::uint64_t checksum = ContentChecksum(ctx, 0);
     if (threads == 1) {
+      base_wall = wall;
       base_scans = report.scan_bound;
       base_bits = report.internal_space;
       base_checksum = checksum;
@@ -157,8 +137,8 @@ void RunParallelSortTable(BenchRecorder& recorder) {
       std::cout << "  WARNING: thread count changed the measured run at "
                 << threads << " threads\n";
     }
-    table.AddRow({"k-way loser tree", std::to_string(threads),
-                  FormatDouble(wall), FormatDouble(seed_wall / wall),
+    table.AddRow({std::to_string(threads), FormatDouble(wall),
+                  FormatDouble(base_wall / wall),
                   std::to_string(report.scan_bound),
                   std::to_string(report.internal_space),
                   std::to_string(checksum % 100000)});
@@ -174,68 +154,59 @@ void RunParallelSortTable(BenchRecorder& recorder) {
                "time scales)\n\n";
 }
 
-/// E3e: the loser-tree k-way merge against the binary cascade at one
-/// thread — the single-thread algorithmic win, isolated from thread
-/// scaling. Fanout sweep at fixed m.
-void RunLoserTreeTable(BenchRecorder& recorder) {
+/// E3e: the k-way merge at one thread, fanout sweep at fixed m. More
+/// ways buy fewer passes, but Definition 1 sums reversals over all
+/// tapes and each pass rewinds 2k scratch tapes (4k reversals), and
+/// every way holds a record buffer — so r and s both price the fanout
+/// (the tapes-vs-scans trade-off).
+void RunFanoutTable(BenchRecorder& recorder) {
   const std::size_t m = 1u << 15;
   const std::size_t n = 16;
-  Table table("E3e: 1-thread merge engine, m=" + std::to_string(m),
-              {"engine", "fanout", "sec", "scans", "passes"});
+  Table table("E3e: 1-thread k-way merge, fanout sweep, m=" +
+                  std::to_string(m) + " run_length=1024",
+              {"fanout", "sec", "passes", "r (scans)", "s (int.bits)"});
   Rng rng(0xE3E);
   const std::string input = RandomFields(m, n, rng);
-  {
-    rstlab::stmodel::StContext ctx(3);
-    ctx.LoadInput(input);
-    rstlab::sorting::SortStats stats;
-    const auto start = std::chrono::steady_clock::now();
-    if (rstlab::Status s =
-            rstlab::sorting::SortFieldsOnTapes(ctx, 0, 1, 2, &stats);
-        !s.ok()) {
-      std::cerr << "E3e seed sort: " << s << "\n";
-      return;
-    }
-    const double wall = Seconds(start);
-    table.AddRow({"binary cascade", "2", FormatDouble(wall),
-                  std::to_string(ctx.Report().scan_bound),
-                  std::to_string(stats.passes)});
-    recorder.Record("E3e_binary_cascade_m" + std::to_string(m),
-                    /*trials=*/m, wall,
-                    Checksum64({ctx.Report().scan_bound, stats.passes}));
-  }
-  for (const std::size_t fanout : {2u, 4u, 8u, 16u}) {
+  for (const std::size_t fanout : {2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
     rstlab::sorting::SortConfig config;
     config.fanout = fanout;
     config.threads = 1;
     config.run_length = 1024;
     rstlab::stmodel::StContext ctx(1);
     ctx.LoadInput(input);
-    rstlab::sorting::ParallelSortStats stats;
+    rstlab::sorting::SortStats stats;
     const auto start = std::chrono::steady_clock::now();
     if (rstlab::Status s = rstlab::sorting::ParallelSortFieldsOnTape(
             ctx, 0, config, &stats);
         !s.ok()) {
-      std::cerr << "E3e parallel sort: " << s << "\n";
+      std::cerr << "E3e sort: " << s << "\n";
       return;
     }
     const double wall = Seconds(start);
-    table.AddRow({"loser tree", std::to_string(fanout), FormatDouble(wall),
-                  std::to_string(ctx.Report().scan_bound),
-                  std::to_string(stats.merge_passes)});
+    const auto report = ctx.Report();
+    table.AddRow({std::to_string(fanout), FormatDouble(wall),
+                  std::to_string(stats.passes),
+                  std::to_string(report.scan_bound),
+                  std::to_string(report.internal_space)});
     recorder.Record(
         "E3e_loser_tree_k" + std::to_string(fanout) + "_m" +
             std::to_string(m),
         /*trials=*/m, wall,
-        Checksum64({ctx.Report().scan_bound, stats.merge_passes}));
+        Checksum64({report.scan_bound, stats.passes,
+                    report.internal_space}));
   }
   table.Print(std::cout);
-  std::cout << "  (higher fanout buys fewer passes and fewer scans; the "
-               "loser tree keeps each pass at log2(k) compares per "
-               "field)\n\n";
+  std::cout << "  (passes = formation + ceil(log_k 32) merges; each "
+               "merge pass costs 4k scratch reversals, so r tracks "
+               "4k * ceil(log_k R) and is least at small k, while s "
+               "grows by one record buffer per way; the loser tree keeps "
+               "each pass at log2(k) compares per field)\n\n";
 }
 
 void RunScalingTable(rstlab::problems::Problem problem,
                      const char* title) {
+  const rstlab::sorting::ScopedSortConfig paper(
+      rstlab::sorting::PaperSortConfig());
   Table table(title, {"m", "N", "scans", "int.bits", "correct"});
   Rng rng(0xC0FFEE);
   std::vector<double> ns;
@@ -268,26 +239,32 @@ void RunScalingTable(rstlab::problems::Problem problem,
             << "; paper: Theta(log N) scans, Corollary 7)\n\n";
 }
 
-// With --trace (or --metrics) active, runs one small CHECK-SORT decide
-// with tape-level tracing: the merge-sort passes show up as alternating
-// scan segments across the five decider tapes.
-void RunTracedExemplar(rstlab::obs::ObsSession& obs) {
+// With --trace (or --metrics) active, runs one small traced decide per
+// E3 table (CHECK-SORT, MULTISET-EQUALITY, SET-EQUALITY): the split,
+// the sorts' source-tape scans and the comparison scans show up as scan
+// segments on the decider tapes (the sort's spill lanes are billed as
+// scratch, not traced).
+void RunTracedExemplars(rstlab::obs::ObsSession& obs) {
   if (obs.sink() == nullptr) return;
   Rng rng(42);
-  rstlab::problems::Instance inst =
+  const rstlab::problems::Instance inst =
       rstlab::problems::SortedPair(8, 8, rng);
-  rstlab::obs::RingSink ring;
-  rstlab::obs::TeeSink tee(obs.sink(), &ring);
-  rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
-  ctx.AttachTrace(&tee);
-  ctx.LoadInput(inst.Encode());
-  auto decided = rstlab::sorting::DecideOnTapes(
-      rstlab::problems::Problem::kCheckSort, ctx);
-  ctx.FlushTrace();
-  std::cout << "traced exemplar (CHECK-SORT decide, m=8 n=8, "
-            << (decided.ok() && decided.value() ? "yes" : "no")
-            << "):\n"
-            << rstlab::obs::RenderScanTimeline(ring.Snapshot()) << "\n";
+  for (const rstlab::problems::Problem problem :
+       {rstlab::problems::Problem::kCheckSort,
+        rstlab::problems::Problem::kMultisetEquality,
+        rstlab::problems::Problem::kSetEquality}) {
+    rstlab::obs::RingSink ring;
+    rstlab::obs::TeeSink tee(obs.sink(), &ring);
+    rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
+    ctx.AttachTrace(&tee);
+    ctx.LoadInput(inst.Encode());
+    auto decided = rstlab::sorting::DecideOnTapes(problem, ctx);
+    ctx.FlushTrace();
+    std::cout << "traced exemplar (" << rstlab::problems::ProblemName(problem)
+              << " decide, m=8 n=8, "
+              << (decided.ok() && decided.value() ? "yes" : "no") << "):\n"
+              << rstlab::obs::RenderScanTimeline(ring.Snapshot()) << "\n";
+  }
 }
 
 void BM_Decider(benchmark::State& state) {
@@ -329,8 +306,8 @@ int main(int argc, char** argv) {
   RunScalingTable(rstlab::problems::Problem::kSetEquality,
                   "E3c: SET-EQUALITY in ST(O(log N), O(n + log N), 5)");
   RunParallelSortTable(recorder);
-  RunLoserTreeTable(recorder);
-  RunTracedExemplar(obs);
+  RunFanoutTable(recorder);
+  RunTracedExemplars(obs);
   obs.Finish(std::cout);
   if (auto written = recorder.Write(); !written.ok()) {
     std::cerr << "bench_checksort: " << written.status() << "\n";

@@ -31,6 +31,7 @@
 #include "query/engine/shared_scan.h"
 #include "query/relalg.h"
 #include "query/workload.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 
 namespace {
@@ -64,7 +65,9 @@ engine::QueryOutcome RunSymdiff(rstlab::stmodel::StContext& ctx,
 }
 
 /// E21a: N sweep of the symmetric-difference plan, measured bill vs the
-/// certificate evaluated at that N.
+/// certificate evaluated at that N. The sorts run at the Corollary 7
+/// geometry (fanout 2, run length 1): at the default run length every
+/// sort up to 1024 tuples fits one formation run and r would be flat.
 void RunSweepTable(BenchRecorder& recorder) {
   Table table("E21a: symdiff plan, measured (r, s) vs certificate at N",
               {"tuples", "N", "ms", "r", "cert r(N)", "s", "cert s(N)",
@@ -82,6 +85,7 @@ void RunSweepTable(BenchRecorder& recorder) {
     const std::size_t n = ctx.input_size();
     engine::SharedScanOptions options;
     options.admit = true;  // full admission gate + RST015 post-check
+    options.config.sort = rstlab::sorting::PaperSortConfig();
     const auto start = std::chrono::steady_clock::now();
     const engine::QueryOutcome outcome = RunSymdiff(ctx, options, false);
     const double wall = Seconds(start);

@@ -20,6 +20,7 @@
 #include "problems/reference.h"
 #include "problems/short_reduction.h"
 #include "sorting/deciders.h"
+#include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/random.h"
 
@@ -149,6 +150,10 @@ int main(int argc, char** argv) {
       rstlab::extmem::ParseBackendFlags(&argc, argv);
   storage.metrics = obs.metrics();
   rstlab::extmem::SetProcessStorageOptions(storage);
+  // Paper-shaped tables at small N run the Corollary 7 sort geometry
+  // (DESIGN.md §8): at the default run length every m <= 1024 sorts in
+  // one formation run and the scan counts would be flat.
+  rstlab::sorting::SetProcessSortConfig(rstlab::sorting::PaperSortConfig());
   RunReductionTable();
   RunShortDeciderTable();
   obs.Finish(std::cout);

@@ -1,5 +1,6 @@
 // Reversal-bounded external merge sort (the Corollary 7 / Corollary 10
-// workhorse): sort a tape of records and watch the scan bill grow
+// workhorse): sort a tape of records at the paper's geometry (binary
+// merges of single-record runs) and watch the scan bill grow
 // logarithmically.
 //
 //   build/examples/external_sort [fields] [bits]
@@ -22,11 +23,12 @@ int main(int argc, char** argv) {
     input += '#';
   }
 
-  rstlab::stmodel::StContext ctx(3);
+  const rstlab::sorting::SortConfig paper = rstlab::sorting::PaperSortConfig();
+  rstlab::stmodel::StContext ctx(1);
   ctx.LoadInput(input);
   rstlab::sorting::SortStats stats;
   rstlab::Status status =
-      rstlab::sorting::SortFieldsOnTapes(ctx, 0, 1, 2, &stats);
+      rstlab::sorting::ParallelSortFieldsOnTape(ctx, 0, paper, &stats);
   if (!status.ok()) {
     std::cerr << "sort failed: " << status << "\n";
     return 1;
@@ -35,7 +37,7 @@ int main(int argc, char** argv) {
   rstlab::tape::Tape& t = ctx.tape(0);
   t.Seek(0);
   std::cout << "sorted " << stats.num_fields << " records of " << bits
-            << " bits in " << stats.passes << " merge passes\n"
+            << " bits in " << stats.merge_passes << " merge passes\n"
             << "resources: " << ctx.Report().ToString() << "\n";
   if (fields <= 32) {
     std::cout << "output:";
@@ -52,9 +54,11 @@ int main(int argc, char** argv) {
       in += rstlab::BitString::Random(bits, rng).ToString();
       in += '#';
     }
-    rstlab::stmodel::StContext c(3);
+    rstlab::stmodel::StContext c(1);
     c.LoadInput(in);
-    if (!rstlab::sorting::SortFieldsOnTapes(c, 0, 1, 2).ok()) return 1;
+    if (!rstlab::sorting::ParallelSortFieldsOnTape(c, 0, paper).ok()) {
+      return 1;
+    }
     std::cout << "  N = " << in.size() << "  ->  "
               << c.Report().ToString() << "\n";
   }

@@ -53,8 +53,11 @@ int main(int argc, char** argv) {
                 << ", x=" << outcome.value().params.x << ")\n";
     }
 
-    // 2. Deterministic sorting decider (Corollary 7).
+    // 2. Deterministic sorting decider (Corollary 7), at the paper's
+    //    binary merge sort geometry (fanout 2, run length 1).
     {
+      const rstlab::sorting::ScopedSortConfig paper(
+          rstlab::sorting::PaperSortConfig());
       rstlab::stmodel::StContext ctx(rstlab::sorting::kDeciderTapes);
       ctx.LoadInput(instance.Encode());
       auto decided = rstlab::sorting::DecideOnTapes(

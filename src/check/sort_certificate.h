@@ -23,8 +23,8 @@ struct SortCertificate {
   /// m, the number of fields certified for.
   std::size_t num_fields = 0;
   /// Merge fanout k and formation run length the bound is computed at.
-  std::size_t fanout = 0;
-  std::size_t run_length = 0;
+  std::size_t fanout = 2;
+  std::size_t run_length = 1;
   /// Expected merge passes P = ceil(log_fanout(ceil(m / run_length))).
   std::size_t merge_passes = 0;
   /// Admissible scan bound (1 + total reversals) for the sort alone:
@@ -62,8 +62,8 @@ Status CheckSortCostsAgainstCertificate(const tape::ResourceReport& report,
 /// machine words. This is Corollary 7's ST(O(log N), O(1), 2)
 /// membership made checkable at any concrete N.
 struct SymbolicSortCertificate {
-  std::size_t fanout = 0;
-  std::size_t run_length = 0;
+  std::size_t fanout = 2;
+  std::size_t run_length = 1;
   std::size_t max_field_len = 0;
   /// Admissible scan bound r(N) and internal bits s(N).
   BoundExpr scan_bound;

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,14 +50,14 @@ std::string JoinFields(const std::vector<std::string>& fields) {
   return out;
 }
 
-/// One check-symbolic case: a registry machine replay (sort_fanout 0)
-/// or a k-way sort run (sort_fanout >= 2), on seeded fields whose
+/// One check-symbolic case: a registry machine replay (no sort_fanout)
+/// or a k-way sort run (sort_fanout set), on seeded fields whose
 /// joined size is the swept N.
 struct SymbolicCase {
   std::string machine_name;  // registry name, or "kway-sort"
   std::vector<std::string> fields;
   std::uint64_t run_seed = 0;
-  std::size_t sort_fanout = 0;
+  std::optional<std::size_t> sort_fanout;
   std::size_t sort_run_length = 1;
 };
 
@@ -64,8 +65,8 @@ std::string RenderSymbolicCase(const SymbolicCase& c) {
   return c.machine_name + " N=" + std::to_string(JoinFields(c.fields).size()) +
          " fields=" + std::to_string(c.fields.size()) +
          " run_seed=" + std::to_string(c.run_seed) +
-         (c.sort_fanout >= 2
-              ? " fanout=" + std::to_string(c.sort_fanout) +
+         (c.sort_fanout.has_value()
+              ? " fanout=" + std::to_string(*c.sort_fanout) +
                     " run_length=" + std::to_string(c.sort_run_length)
               : "");
 }
@@ -139,12 +140,12 @@ std::string CheckMachineCase(const SymbolicCase& c) {
 /// certificate at the case's own N.
 std::string CheckSortCase(const SymbolicCase& c) {
   sorting::SortConfig config;
-  config.fanout = c.sort_fanout;
+  config.fanout = *c.sort_fanout;
   config.run_length = c.sort_run_length;
   config.threads = 1;
   stmodel::StContext ctx(1);
   ctx.LoadInput(JoinFields(c.fields));
-  sorting::ParallelSortStats stats;
+  sorting::SortStats stats;
   const Status sorted =
       sorting::ParallelSortFieldsOnTape(ctx, 0, config, &stats);
   if (!sorted.ok()) return "sort failed: " + sorted.ToString();
@@ -171,7 +172,7 @@ std::string CheckSortCase(const SymbolicCase& c) {
 }
 
 std::string CheckSymbolicCase(const SymbolicCase& c) {
-  return c.sort_fanout >= 2 ? CheckSortCase(c) : CheckMachineCase(c);
+  return c.sort_fanout.has_value() ? CheckSortCase(c) : CheckMachineCase(c);
 }
 
 class SymbolicCheckSuite final : public Suite {

@@ -5,11 +5,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <string>
 #include <system_error>
 
 #include <unistd.h>
 
 #include "extmem/file_storage.h"
+#include "util/parse.h"
 
 namespace rstlab::extmem {
 
@@ -66,17 +68,19 @@ std::string NextTapePath(const std::string& dir) {
          "-" + std::to_string(counter.fetch_add(1)) + ".rstape";
 }
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
+/// `value` as a size knob in [1, max]; `fallback` (with a warning on
+/// stderr naming `what`, the flag or variable as written) when it is
+/// malformed or out of range.
+std::size_t SizeKnob(const std::string& what, const char* value,
+                     std::size_t max, std::size_t fallback) {
+  return static_cast<std::size_t>(
+      ParseKnob("extmem", what, value, 1, max).value_or(fallback));
+}
+
+std::size_t EnvSize(const char* name, std::size_t max, std::size_t fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value || parsed == 0) {
-    std::fprintf(stderr, "rstlab extmem: ignoring %s=%s (want a positive integer)\n",
-                 name, value);
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
+  return SizeKnob(std::string(name) + "=" + value, value, max, fallback);
 }
 
 }  // namespace
@@ -134,10 +138,12 @@ StorageOptions DefaultStorageOptions() {
                    backend);
     }
   }
-  options.block_size = EnvSize("RSTLAB_BLOCK_SIZE", options.block_size);
-  options.cache_blocks = EnvSize("RSTLAB_CACHE_BLOCKS", options.cache_blocks);
-  options.readahead_blocks =
-      EnvSize("RSTLAB_READAHEAD_BLOCKS", options.readahead_blocks);
+  options.block_size =
+      EnvSize("RSTLAB_BLOCK_SIZE", kMaxBlockSize, options.block_size);
+  options.cache_blocks =
+      EnvSize("RSTLAB_CACHE_BLOCKS", kMaxCacheBlocks, options.cache_blocks);
+  options.readahead_blocks = EnvSize(
+      "RSTLAB_READAHEAD_BLOCKS", kMaxReadaheadBlocks, options.readahead_blocks);
   if (const char* dir = std::getenv("RSTLAB_TAPE_DIR")) {
     if (*dir != '\0') options.dir = dir;
   }
@@ -164,23 +170,13 @@ StorageOptions ParseBackendFlags(int* argc, char** argv) {
       continue;
     }
     if (std::strncmp(arg, "--cache-blocks=", 15) == 0) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(arg + 15, &end, 10);
-      if (end == arg + 15 || parsed == 0) {
-        std::fprintf(stderr, "rstlab extmem: ignoring %s\n", arg);
-      } else {
-        options.cache_blocks = static_cast<std::size_t>(parsed);
-      }
+      options.cache_blocks =
+          SizeKnob(arg, arg + 15, kMaxCacheBlocks, options.cache_blocks);
       continue;
     }
     if (std::strncmp(arg, "--readahead-blocks=", 19) == 0) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(arg + 19, &end, 10);
-      if (end == arg + 19 || parsed == 0) {
-        std::fprintf(stderr, "rstlab extmem: ignoring %s\n", arg);
-      } else {
-        options.readahead_blocks = static_cast<std::size_t>(parsed);
-      }
+      options.readahead_blocks = SizeKnob(arg, arg + 19, kMaxReadaheadBlocks,
+                                          options.readahead_blocks);
       continue;
     }
     argv[out++] = argv[i];

@@ -134,18 +134,27 @@ enum class BackendKind {
 /// Short name for `kind` ("mem" / "file").
 const char* BackendName(BackendKind kind);
 
+/// Largest block size, cache size and readahead the flags and
+/// environment variables accept (every one must be at least 1).
+inline constexpr std::size_t kMaxBlockSize = std::size_t{1} << 24;
+inline constexpr std::size_t kMaxCacheBlocks = std::size_t{1} << 20;
+inline constexpr std::size_t kMaxReadaheadBlocks = std::size_t{1} << 16;
+
 /// Configuration for creating tape storages — the knob set behind
 /// `--tape-backend` / `--cache-blocks` and their environment fallbacks.
 struct StorageOptions {
   BackendKind backend = BackendKind::kMem;
-  /// Cells per block of the file backend (rounded up to a power of 2).
+  /// Cells per block of the file backend (rounded up to a power of 2),
+  /// at most kMaxBlockSize from `RSTLAB_BLOCK_SIZE`.
   std::size_t block_size = 4096;
   /// Cache capacity in blocks (per tape). The cache *budget* in cells
   /// is block_size * cache_blocks; experiments run out-of-core when a
-  /// tape's content exceeds it.
+  /// tape's content exceeds it. At most kMaxCacheBlocks from
+  /// `--cache-blocks` / `RSTLAB_CACHE_BLOCKS`.
   std::size_t cache_blocks = 64;
   /// Blocks prefetched ahead of the head on sequential scans. The knob
-  /// behind `--readahead-blocks` / `RSTLAB_READAHEAD_BLOCKS`.
+  /// behind `--readahead-blocks` / `RSTLAB_READAHEAD_BLOCKS`, at most
+  /// kMaxReadaheadBlocks.
   std::size_t readahead_blocks = 4;
   /// Directory for backing files ("" = system temp dir + "rstlab-tapes").
   std::string dir;
@@ -180,7 +189,8 @@ void SetProcessStorageOptions(const StorageOptions& options);
 /// `--readahead-blocks=K` from
 /// argv (removing them, like `obs::ParseObsFlags`), starting from
 /// `DefaultStorageOptions()` so flags override environment overrides
-/// defaults. Unrecognized values keep the default and warn on stderr.
+/// defaults. Malformed or out-of-range values keep the default and
+/// warn on stderr.
 StorageOptions ParseBackendFlags(int* argc, char** argv);
 
 }  // namespace rstlab::extmem

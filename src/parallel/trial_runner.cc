@@ -5,6 +5,8 @@
 #include <string>
 #include <thread>
 
+#include "util/parse.h"
+
 namespace rstlab::parallel {
 
 std::vector<TrialRunner::ChunkBounds> TrialRunner::PartitionTrials(
@@ -26,14 +28,24 @@ std::vector<TrialRunner::ChunkBounds> TrialRunner::PartitionTrials(
   return chunks;
 }
 
+namespace {
+
+/// `value` as a thread count in [1, kMaxTrialThreads], or 0 (with a
+/// warning on stderr naming `what`) when malformed or out of range.
+std::size_t ThreadsKnob(const std::string& what, const char* value) {
+  return static_cast<std::size_t>(
+      ParseKnob("parallel", what, value, 1, kMaxTrialThreads).value_or(0));
+}
+
+}  // namespace
+
 std::size_t ResolveThreadCount(std::size_t cli_threads) {
   if (cli_threads > 0) return cli_threads;
-  if (const char* env = std::getenv("RSTLAB_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
+  if (const char* env = std::getenv("RSTLAB_THREADS");
+      env != nullptr && *env != '\0') {
+    const std::size_t threads =
+        ThreadsKnob(std::string("RSTLAB_THREADS=") + env, env);
+    if (threads > 0) return threads;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -45,11 +57,7 @@ std::size_t ParseThreadsFlag(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--threads=", 10) == 0) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(arg + 10, &end, 10);
-      if (end != arg + 10 && *end == '\0' && parsed > 0) {
-        cli_threads = static_cast<std::size_t>(parsed);
-      }
+      cli_threads = ThreadsKnob(arg, arg + 10);
       continue;  // strip the flag either way
     }
     argv[out++] = argv[i];

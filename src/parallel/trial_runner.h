@@ -129,9 +129,14 @@ class TrialRunner {
   obs::TraceSink* trace_ = nullptr;
 };
 
+/// Largest thread count `--threads=N` / RSTLAB_THREADS accept.
+inline constexpr std::size_t kMaxTrialThreads = 1024;
+
 /// The thread count a bench binary should use, in precedence order:
 /// `cli_threads` if > 0 (from --threads=N), else the RSTLAB_THREADS
 /// environment variable, else std::thread::hardware_concurrency().
+/// Malformed or out-of-range values are ignored with a warning on
+/// stderr.
 std::size_t ResolveThreadCount(std::size_t cli_threads = 0);
 
 /// Extracts a `--threads=N` flag from argv (removing it, so downstream

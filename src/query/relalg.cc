@@ -6,7 +6,7 @@
 
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
-#include "sorting/merge_sort.h"
+#include "sorting/parallel_sort.h"
 
 namespace rstlab::query {
 
@@ -333,8 +333,7 @@ class TapeEvaluator {
   /// Sorts the `count` fields at the start of `tape_index` (terminated
   /// with a blank by CopySegmentTo).
   Status SortOperand(std::size_t tape_index) {
-    return sorting::SortFieldsOnTapes(ctx_, tape_index, kSortAux1,
-                                      kSortAux2);
+    return sorting::SortForDecider(ctx_, tape_index, kSortAux1, kSortAux2);
   }
 
   Result<Segment> EvalUnion(const RelAlgExprPtr& expr) {

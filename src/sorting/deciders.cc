@@ -3,7 +3,6 @@
 #include <optional>
 #include <string>
 
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "stmodel/internal_arena.h"
 #include "stmodel/tape_io.h"
@@ -12,36 +11,6 @@
 namespace rstlab::sorting {
 
 namespace {
-
-/// Splits the 2m input fields of tape 0 onto tapes 1 (first half) and 2
-/// (second half). Returns m. Two forward scans of the input.
-Result<std::size_t> SplitHalves(stmodel::StContext& ctx) {
-  tape::Tape& in = ctx.tape(0);
-  stmodel::Rewind(in);
-  const std::size_t total = stmodel::CountFields(in);
-  if (total % 2 != 0) {
-    return Status::InvalidArgument("instance must have 2m fields");
-  }
-  const std::size_t m = total / 2;
-  stmodel::Rewind(in);
-  for (std::size_t i = 0; i < m; ++i) stmodel::CopyField(in, ctx.tape(1));
-  for (std::size_t i = 0; i < m; ++i) stmodel::CopyField(in, ctx.tape(2));
-  return m;
-}
-
-/// Field-sequence equality of tapes `x` and `y` holding `m` fields each:
-/// one parallel forward scan, no internal buffering.
-bool SequencesEqual(stmodel::StContext& ctx, std::size_t x, std::size_t y,
-                    std::size_t m) {
-  tape::Tape& a = ctx.tape(x);
-  tape::Tape& b = ctx.tape(y);
-  a.Seek(0);
-  b.Seek(0);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (stmodel::CompareFields(a, b) != 0) return false;
-  }
-  return true;
-}
 
 /// Set-wise equality of two *sorted* field sequences: walks both tapes,
 /// collapsing duplicates (one metered record buffer per tape).
@@ -61,6 +30,32 @@ bool SortedSetsEqual(stmodel::StContext& ctx, std::size_t x,
 
 }  // namespace
 
+Result<std::size_t> SplitHalves(stmodel::StContext& ctx) {
+  tape::Tape& in = ctx.tape(0);
+  stmodel::Rewind(in);
+  const std::size_t total = stmodel::CountFields(in);
+  if (total % 2 != 0) {
+    return Status::InvalidArgument("instance must have 2m fields");
+  }
+  const std::size_t m = total / 2;
+  stmodel::Rewind(in);
+  for (std::size_t i = 0; i < m; ++i) stmodel::CopyField(in, ctx.tape(1));
+  for (std::size_t i = 0; i < m; ++i) stmodel::CopyField(in, ctx.tape(2));
+  return m;
+}
+
+bool SequencesEqual(stmodel::StContext& ctx, std::size_t x, std::size_t y,
+                    std::size_t m) {
+  tape::Tape& a = ctx.tape(x);
+  tape::Tape& b = ctx.tape(y);
+  a.Seek(0);
+  b.Seek(0);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (stmodel::CompareFields(a, b) != 0) return false;
+  }
+  return true;
+}
+
 Result<bool> DecideOnTapes(problems::Problem problem,
                            stmodel::StContext& ctx) {
   if (ctx.num_tapes() < kDeciderTapes) {
@@ -74,9 +69,7 @@ Result<bool> DecideOnTapes(problems::Problem problem,
   switch (problem) {
     case problems::Problem::kCheckSort: {
       // Sort the first list; the instance is a "yes" iff the sorted
-      // first list equals the second list verbatim. SortForDecider
-      // routes to the parallel k-way sort when the process sort config
-      // selects it, else to the serial seed sort.
+      // first list equals the second list verbatim.
       RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
       return SequencesEqual(ctx, 1, 2, m);
     }

@@ -6,7 +6,7 @@
 #include "fingerprint/fingerprint.h"
 #include "problems/instance.h"
 #include "sorting/deciders.h"
-#include "sorting/merge_sort.h"
+#include "sorting/parallel_sort.h"
 #include "stmodel/tape_io.h"
 
 namespace rstlab::sorting {
@@ -47,30 +47,11 @@ Result<bool> CheckSortViaSorting(stmodel::StContext& ctx) {
   }
   // Split the halves; sort the first; one parallel comparison scan —
   // the Corollary 10 reduction CHECK-SORT <= sorting.
-  tape::Tape& in = ctx.tape(0);
-  stmodel::Rewind(in);
-  const std::size_t total = stmodel::CountFields(in);
-  if (total % 2 != 0) {
-    return Status::InvalidArgument("instance must have 2m fields");
-  }
-  const std::size_t m = total / 2;
-  if (m == 0) return true;
-  stmodel::Rewind(in);
-  for (std::size_t i = 0; i < m; ++i) {
-    stmodel::CopyField(in, ctx.tape(1));
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    stmodel::CopyField(in, ctx.tape(2));
-  }
-  RSTLAB_RETURN_IF_ERROR(SortFieldsOnTapes(ctx, 1, 3, 4));
-  ctx.tape(1).Seek(0);
-  ctx.tape(2).Seek(0);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (stmodel::CompareFields(ctx.tape(1), ctx.tape(2)) != 0) {
-      return false;
-    }
-  }
-  return true;
+  Result<std::size_t> m = SplitHalves(ctx);
+  if (!m.ok()) return m.status();
+  if (m.value() == 0) return true;
+  RSTLAB_RETURN_IF_ERROR(SortForDecider(ctx, 1, 3, 4));
+  return SequencesEqual(ctx, 1, 2, m.value());
 }
 
 SortSubroutine FaultySorter(double fault_rate, std::uint64_t seed) {

@@ -516,22 +516,20 @@ class TaskRunner {
 
 Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
                                 const SortConfig& config,
-                                ParallelSortStats* stats) {
+                                SortStats* stats) {
   if (src >= ctx.num_tapes()) {
     return Status::InvalidArgument("parallel sort: bad source tape index");
   }
-  if (config.fanout < 2) {
-    return Status::InvalidArgument("parallel sort needs fanout >= 2");
-  }
+  RSTLAB_RETURN_IF_ERROR(ValidateSortConfig(config));
   const std::size_t fanout = config.fanout;
-  const std::size_t run_length = std::max<std::size_t>(1, config.run_length);
-  const std::size_t merge_width = std::max<std::size_t>(1, config.merge_width);
-  const std::size_t threads = std::max<std::size_t>(1, config.threads);
+  const std::size_t run_length = config.run_length;
+  const std::size_t merge_width = SortConfig::merge_width;
+  const std::size_t threads = config.threads;
   const std::size_t chunk = ChunkCells(ctx.storage_options());
 
   tape::Tape& source = ctx.tape(src);
   const extmem::IoStats source_io_before = source.io_stats();
-  if (stats != nullptr) *stats = ParallelSortStats{};
+  if (stats != nullptr) *stats = SortStats{};
 
   // Pass 0: count fields, the longest payload, and the content cells
   // (one forward scan in bulk chunks).
@@ -585,6 +583,7 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
   if (stats != nullptr) {
     stats->num_runs = num_runs;
     stats->merge_passes = merge_passes;
+    stats->passes = merge_passes + 1;
   }
 
   // Spill lanes: two generations (ping/pong across passes), a few
@@ -609,11 +608,11 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
   stmodel::InternalArena& arena = ctx.arena();
   const std::size_t ctr_bits =
       stmodel::BitsFor(std::max<std::size_t>(1, ctx.input_size()));
-  // Internal-memory bill, same convention as the seed sort (1 bit per
-  // 0/1 character of a buffered record, counters at BitsFor(N)): the
-  // formation run buffer, then the merge's fanout record buffers plus
-  // the loser tree's slot registers. All formula-shaped, hence
-  // identical at every thread count and on every backend.
+  // Internal-memory bill (1 bit per 0/1 character of a buffered
+  // record, counters at BitsFor(N)): the formation run buffer, then the
+  // merge's fanout record buffers plus the loser tree's slot registers.
+  // All formula-shaped, hence identical at every thread count and on
+  // every backend.
   stmodel::MeteredUint64 counters(arena, (fanout + 3) * ctr_bits);
   (void)counters;
 
@@ -872,22 +871,9 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
 }
 
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
-                      std::size_t aux1, std::size_t aux2, SortStats* stats) {
-  const SortConfig config = DefaultSortConfig();
-  if (!UsesParallelPath(config)) {
-    return SortFieldsOnTapes(ctx, src, aux1, aux2, stats);
-  }
-  ParallelSortStats parallel_stats;
-  RSTLAB_RETURN_IF_ERROR(
-      ParallelSortFieldsOnTape(ctx, src, config, &parallel_stats));
-  if (stats != nullptr) {
-    stats->num_fields = parallel_stats.num_fields;
-    stats->passes = parallel_stats.num_fields <= 1
-                        ? 0
-                        : parallel_stats.merge_passes + 1;
-    stats->io = parallel_stats.io;
-  }
-  return Status::OK();
+                      std::size_t /*aux1*/, std::size_t /*aux2*/,
+                      SortStats* stats) {
+  return ParallelSortFieldsOnTape(ctx, src, DefaultSortConfig(), stats);
 }
 
 }  // namespace rstlab::sorting

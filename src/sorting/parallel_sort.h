@@ -5,15 +5,14 @@
 #include <cstdint>
 
 #include "extmem/io_stats.h"
-#include "sorting/merge_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
 #include "util/status.h"
 
 namespace rstlab::sorting {
 
-/// Statistics of one parallel k-way external sort.
-struct ParallelSortStats {
+/// Statistics of one k-way external sort.
+struct SortStats {
   /// Number of '#'-terminated fields sorted.
   std::size_t num_fields = 0;
   /// Longest field payload seen.
@@ -22,20 +21,24 @@ struct ParallelSortStats {
   std::size_t num_runs = 0;
   /// k-way merge passes P = ceil(log_fanout(R)).
   std::size_t merge_passes = 0;
+  /// Formation plus merge passes: P + 1, or 0 when m <= 1 (nothing to
+  /// sort).
+  std::size_t passes = 0;
   /// The canonical scratch-tape reversal bill charged to the context
   /// (4 * fanout * P + 2; see DESIGN.md).
   std::uint64_t scratch_reversals = 0;
   /// The scratch external-space bill (two lane generations in flight).
   std::size_t scratch_cells = 0;
   /// Block I/O of the source tape plus every spill lane, delta over the
-  /// sort; includes the reader-level prefetch_issued/prefetch_hits
-  /// counters of the double-buffered run readers.
+  /// sort (all zero on the in-memory backend); includes the
+  /// reader-level prefetch_issued/prefetch_hits counters of the
+  /// double-buffered run readers.
   extmem::IoStats io;
 };
 
 /// Sorts the '#'-terminated fields of tape `src` in ascending
-/// lexicographic order by parallel k-way external merge sort
-/// (`config.fanout` >= 2 required):
+/// lexicographic order by k-way external merge sort, the one external
+/// sort of the library (`config` must pass `ValidateSortConfig`):
 ///
 ///   1. run formation — the input is cut into runs of
 ///      `config.run_length` fields, sorted in internal memory by the
@@ -56,21 +59,22 @@ struct ParallelSortStats {
 /// and the scratch bill is the canonical serial 2k-tape machine's
 /// (charged via `StContext::ChargeScratch`, a closed formula in m,
 /// fanout and run_length — see DESIGN.md "Spill billing"). The profile
-/// stays the Corollary 7 shape: O(log N) scans, internal memory
-/// independent of N for constant-length fields.
+/// is the Corollary 7 shape: O(log N) scans, and internal memory of
+/// run_length + fanout record buffers plus O(log N) counter bits. At
+/// `PaperSortConfig()` (fanout 2, run_length 1) that is the paper's
+/// O(n + log N) bits for n-bit fields.
 ///
 /// On return the sorted fields are on `src`. Every spill lane is
 /// destroyed (and, on the file backend, unlinked) on success and
 /// failure paths alike.
 Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
                                 const SortConfig& config,
-                                ParallelSortStats* stats = nullptr);
+                                SortStats* stats = nullptr);
 
-/// The config-dispatched sort the decision procedures use: routes to
-/// `ParallelSortFieldsOnTape` when `DefaultSortConfig()` selects the
-/// parallel path (fanout >= 2), else to the serial seed
-/// `SortFieldsOnTapes(ctx, src, aux1, aux2)`. `stats->passes` counts
-/// formation plus merge passes on the parallel path.
+/// The sort the decision procedures and tape evaluators use:
+/// `ParallelSortFieldsOnTape(ctx, src, DefaultSortConfig(), stats)`.
+/// `aux1` and `aux2` are unused: the sort spills to its own lanes, not
+/// to tapes of `ctx`.
 Status SortForDecider(stmodel::StContext& ctx, std::size_t src,
                       std::size_t aux1, std::size_t aux2,
                       SortStats* stats = nullptr);

@@ -1,27 +1,44 @@
 #include "sorting/sort_config.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
+
+#include "util/parse.h"
 
 namespace rstlab::sorting {
 
 namespace {
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) {
-    std::fprintf(stderr,
-                 "rstlab sorting: ignoring %s=%s (want a non-negative "
-                 "integer)\n",
-                 name, value);
-    return fallback;
+/// One numeric sort knob: its flag, environment variable, accepted
+/// range and the config field it sets.
+struct Knob {
+  const char* flag;  // "--name=" prefix
+  const char* env;
+  std::size_t min;
+  std::size_t max;
+  std::size_t SortConfig::*field;
+};
+
+constexpr Knob kKnobs[] = {
+    {"--sort-threads=", "RSTLAB_SORT_THREADS", 1, kMaxSortThreads,
+     &SortConfig::threads},
+    {"--merge-fanout=", "RSTLAB_MERGE_FANOUT", 2, kMaxMergeFanout,
+     &SortConfig::fanout},
+    {"--run-length=", "RSTLAB_RUN_LENGTH", 1, kMaxRunLength,
+     &SortConfig::run_length},
+};
+
+/// Sets `knob` on `config` from `value`, or warns on stderr and keeps
+/// the current value when `value` is malformed or out of range. `what`
+/// is the flag or variable as the user wrote it.
+void SetKnob(const Knob& knob, const char* value, const std::string& what,
+             SortConfig& config) {
+  if (const std::optional<std::uint64_t> parsed =
+          ParseKnob("sorting", what, value, knob.min, knob.max)) {
+    config.*knob.field = static_cast<std::size_t>(*parsed);
   }
-  return static_cast<std::size_t>(parsed);
 }
 
 SortConfig* ProcessConfigSlot() {
@@ -31,20 +48,20 @@ SortConfig* ProcessConfigSlot() {
 
 bool g_process_config_set = false;
 
-/// Parses the value of `--name=` flags; returns fallback (with a
-/// warning) on garbage.
-std::size_t FlagSize(const char* arg, const char* value,
-                     std::size_t fallback) {
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  if (end == value) {
-    std::fprintf(stderr, "rstlab sorting: ignoring %s\n", arg);
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 }  // namespace
+
+Status ValidateSortConfig(const SortConfig& config) {
+  for (const Knob& knob : kKnobs) {
+    const std::size_t value = config.*knob.field;
+    if (value < knob.min || value > knob.max) {
+      return Status::InvalidArgument(
+          std::string("sort config: ") + knob.flag + std::to_string(value) +
+          " outside [" + std::to_string(knob.min) + ", " +
+          std::to_string(knob.max) + "]");
+    }
+  }
+  return Status::OK();
+}
 
 bool UsesParallelPath(const SortConfig& config) {
   return config.fanout >= 2;
@@ -58,18 +75,32 @@ void SetProcessSortConfig(const SortConfig& config) {
 SortConfig DefaultSortConfig() {
   if (g_process_config_set) return *ProcessConfigSlot();
   SortConfig config;
-  config.threads =
-      std::max<std::size_t>(1, EnvSize("RSTLAB_SORT_THREADS", config.threads));
-  config.fanout = EnvSize("RSTLAB_MERGE_FANOUT", config.fanout);
-  if (config.fanout == 1) {
-    std::fprintf(stderr,
-                 "rstlab sorting: RSTLAB_MERGE_FANOUT=1 is not a merge; "
-                 "keeping the serial path\n");
-    config.fanout = 0;
+  for (const Knob& knob : kKnobs) {
+    const char* value = std::getenv(knob.env);
+    if (value == nullptr || *value == '\0') continue;
+    SetKnob(knob, value, std::string(knob.env) + "=" + value, config);
   }
-  config.run_length = std::max<std::size_t>(
-      1, EnvSize("RSTLAB_RUN_LENGTH", config.run_length));
   return config;
+}
+
+SortConfig PaperSortConfig() {
+  SortConfig config = DefaultSortConfig();
+  config.fanout = 2;
+  config.run_length = 1;
+  return config;
+}
+
+ScopedSortConfig::ScopedSortConfig(const SortConfig& config) {
+  if (g_process_config_set) previous_ = *ProcessConfigSlot();
+  SetProcessSortConfig(config);
+}
+
+ScopedSortConfig::~ScopedSortConfig() {
+  if (previous_.has_value()) {
+    SetProcessSortConfig(*previous_);
+  } else {
+    g_process_config_set = false;
+  }
 }
 
 SortConfig ParseSortFlags(int* argc, char** argv) {
@@ -77,27 +108,16 @@ SortConfig ParseSortFlags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--sort-threads=", 15) == 0) {
-      config.threads =
-          std::max<std::size_t>(1, FlagSize(arg, arg + 15, config.threads));
-      continue;
-    }
-    if (std::strncmp(arg, "--merge-fanout=", 15) == 0) {
-      const std::size_t fanout = FlagSize(arg, arg + 15, config.fanout);
-      if (fanout == 1) {
-        std::fprintf(stderr, "rstlab sorting: ignoring %s (want 0 or >= 2)\n",
-                     arg);
-      } else {
-        config.fanout = fanout;
+    bool consumed = false;
+    for (const Knob& knob : kKnobs) {
+      const std::size_t prefix = std::strlen(knob.flag);
+      if (std::strncmp(arg, knob.flag, prefix) == 0) {
+        SetKnob(knob, arg + prefix, arg, config);
+        consumed = true;
+        break;
       }
-      continue;
     }
-    if (std::strncmp(arg, "--run-length=", 13) == 0) {
-      config.run_length =
-          std::max<std::size_t>(1, FlagSize(arg, arg + 13, config.run_length));
-      continue;
-    }
-    argv[out++] = argv[i];
+    if (!consumed) argv[out++] = argv[i];
   }
   for (int i = out; i < *argc; ++i) argv[i] = nullptr;
   *argc = out;

@@ -570,5 +570,19 @@ TEST(StorageFactoryTest, ParseBackendFlagsStripsRecognizedFlags) {
   EXPECT_STREQ(argv[1], "keep");
 }
 
+TEST(StorageFactoryTest, ParseBackendFlagsRejectsMalformedSizes) {
+  const StorageOptions defaults = DefaultStorageOptions();
+  const char* raw[] = {"prog", "--cache-blocks=-1",
+                       "--readahead-blocks=4x", nullptr};
+  char* argv[4];
+  for (int i = 0; i < 3; ++i) argv[i] = const_cast<char*>(raw[i]);
+  argv[3] = nullptr;
+  int argc = 3;
+  StorageOptions options = ParseBackendFlags(&argc, argv);
+  EXPECT_EQ(options.cache_blocks, defaults.cache_blocks);
+  EXPECT_EQ(options.readahead_blocks, defaults.readahead_blocks);
+  EXPECT_EQ(argc, 1);  // consumed with a warning, not passed through
+}
+
 }  // namespace
 }  // namespace rstlab::extmem

@@ -2,7 +2,7 @@
 // the loser tree, the sort itself across the full fanout x thread
 // matrix (output and measured (r, s) bit-identical to the serial run),
 // backend independence, the RST015 sort certificate, spill-lane
-// cleanup on success and failure, and the decider routing switch.
+// cleanup on success and failure, and the decider entry point.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "sorting/deciders.h"
 #include "sorting/loser_tree.h"
-#include "sorting/merge_sort.h"
 #include "sorting/parallel_sort.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
@@ -132,7 +131,7 @@ TEST(LoserTreeTest, AllExhaustedIsEmpty) {
 struct MatrixResult {
   std::vector<std::string> fields;
   tape::ResourceReport report;
-  ParallelSortStats stats;
+  SortStats stats;
 };
 
 MatrixResult RunMatrixCase(const std::vector<std::string>& input,
@@ -201,14 +200,10 @@ TEST_P(ParallelSortMatrixTest, MatchesStdSortAndSerialAtEveryThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Fanouts, ParallelSortMatrixTest,
                          ::testing::Values(2, 3, 4, 8, 16));
 
-TEST(ParallelSortTest, AgreesWithSerialSeedSort) {
+TEST(ParallelSortTest, AgreesWithStdSort) {
   Rng rng(77);
   for (const std::size_t m : {0u, 1u, 2u, 5u, 33u, 128u, 300u}) {
     std::vector<std::string> input = RandomMultiset(m, rng);
-    stmodel::StContext seed_ctx(3);
-    seed_ctx.LoadInput(JoinFields(input));
-    ASSERT_TRUE(SortFieldsOnTapes(seed_ctx, 0, 1, 2).ok());
-
     SortConfig config;
     config.fanout = 4;
     config.threads = 4;
@@ -216,7 +211,8 @@ TEST(ParallelSortTest, AgreesWithSerialSeedSort) {
     stmodel::StContext ctx(1);
     ctx.LoadInput(JoinFields(input));
     ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config).ok());
-    EXPECT_EQ(TapeFields(ctx, 0), TapeFields(seed_ctx, 0)) << "m=" << m;
+    std::sort(input.begin(), input.end());
+    EXPECT_EQ(TapeFields(ctx, 0), input) << "m=" << m;
   }
 }
 
@@ -301,7 +297,7 @@ TEST(ParallelSortTest, PublishesPrefetchCounters) {
   config.fanout = 2;
   config.threads = 2;
   config.run_length = 1000;
-  ParallelSortStats stats;
+  SortStats stats;
   ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config, &stats).ok());
   EXPECT_GT(stats.io.prefetch_issued, 0u);
   EXPECT_LE(stats.io.prefetch_hits, stats.io.prefetch_issued);
@@ -328,7 +324,7 @@ TEST(SortCertificateTest, MeasuredCostsStayWithinCertificate) {
       config.run_length = 8;
       stmodel::StContext ctx(1);
       ctx.LoadInput(JoinFields(input));
-      ParallelSortStats stats;
+      SortStats stats;
       ASSERT_TRUE(ParallelSortFieldsOnTape(ctx, 0, config, &stats).ok());
       const check::SortCertificate cert = check::CertifyKWaySort(
           stats.num_fields, stats.max_field_len, ctx.input_size(), fanout,
@@ -416,53 +412,58 @@ TEST(ParallelSortTest, SpillLanesUnlinkedOnSuccessAndFailure) {
 }
 
 // ---------------------------------------------------------------------
-// Decider routing
+// Decider entry point
 // ---------------------------------------------------------------------
 
-TEST(SortForDeciderTest, RoutesByProcessConfig) {
-  const SortConfig saved = DefaultSortConfig();
+TEST(SortForDeciderTest, UsesProcessConfig) {
   Rng rng(21);
   std::vector<std::string> input = RandomMultiset(60, rng);
+  std::vector<std::string> expected = input;
+  std::sort(expected.begin(), expected.end());
 
-  // Legacy path (fanout 0): identical to the serial seed sort.
-  SortConfig legacy;
-  legacy.fanout = 0;
-  SetProcessSortConfig(legacy);
-  stmodel::StContext legacy_ctx(kDeciderTapes);
-  legacy_ctx.LoadInput(JoinFields(input));
-  ASSERT_TRUE(SortInputToTape(legacy_ctx).ok());
-
-  stmodel::StContext seed_ctx(kDeciderTapes);
-  seed_ctx.LoadInput(JoinFields(input));
-  {
-    tape::Tape& in = seed_ctx.tape(0);
+  // Sorts tape 1 of a decider context holding `input` through
+  // SortInputToTape / SortForDecider under `config`.
+  const auto run = [&input](const SortConfig& config, SortStats* stats,
+                            std::vector<std::string>* fields) {
+    const ScopedSortConfig scoped(config);
+    stmodel::StContext ctx(kDeciderTapes);
+    ctx.LoadInput(JoinFields(input));
+    tape::Tape& in = ctx.tape(0);
     stmodel::Rewind(in);
-    while (!stmodel::AtEnd(in)) stmodel::CopyField(in, seed_ctx.tape(1));
-  }
-  ASSERT_TRUE(SortFieldsOnTapes(seed_ctx, 1, 3, 4).ok());
-  EXPECT_EQ(TapeFields(legacy_ctx, 1), TapeFields(seed_ctx, 1));
+    while (!stmodel::AtEnd(in)) stmodel::CopyField(in, ctx.tape(1));
+    ASSERT_TRUE(SortForDecider(ctx, 1, 3, 4, stats).ok());
+    *fields = TapeFields(ctx, 1);
+  };
 
-  // Parallel path: same sorted output through the k-way sort.
-  SortConfig parallel;
-  parallel.fanout = 4;
-  parallel.threads = 4;
-  parallel.run_length = 8;
-  SetProcessSortConfig(parallel);
-  stmodel::StContext parallel_ctx(kDeciderTapes);
-  parallel_ctx.LoadInput(JoinFields(input));
-  SortStats stats;
-  {
-    tape::Tape& in = parallel_ctx.tape(0);
-    stmodel::Rewind(in);
-    while (!stmodel::AtEnd(in)) {
-      stmodel::CopyField(in, parallel_ctx.tape(1));
-    }
-  }
-  ASSERT_TRUE(SortForDecider(parallel_ctx, 1, 3, 4, &stats).ok());
-  EXPECT_EQ(TapeFields(parallel_ctx, 1), TapeFields(seed_ctx, 1));
-  EXPECT_EQ(stats.num_fields, input.size());
+  SortConfig narrow;
+  narrow.fanout = 2;
+  narrow.run_length = 4;
+  SortStats narrow_stats;
+  std::vector<std::string> narrow_out;
+  run(narrow, &narrow_stats, &narrow_out);
+  EXPECT_EQ(narrow_out, expected);
+  EXPECT_EQ(narrow_stats.num_fields, input.size());
+  EXPECT_EQ(narrow_stats.num_runs, 15u);     // ceil(60 / 4)
+  EXPECT_EQ(narrow_stats.merge_passes, 4u);  // ceil(log2 15)
+  EXPECT_EQ(narrow_stats.passes, 5u);
 
-  SetProcessSortConfig(saved);
+  SortConfig wide;
+  wide.fanout = 4;
+  wide.threads = 4;
+  wide.run_length = 8;
+  SortStats wide_stats;
+  std::vector<std::string> wide_out;
+  run(wide, &wide_stats, &wide_out);
+  EXPECT_EQ(wide_out, expected);
+  EXPECT_EQ(wide_stats.num_runs, 8u);      // ceil(60 / 8)
+  EXPECT_EQ(wide_stats.merge_passes, 2u);  // ceil(log4 8)
+
+  // The decider entry point and SortInputToTape agree.
+  const ScopedSortConfig scoped(wide);
+  stmodel::StContext ctx(kDeciderTapes);
+  ctx.LoadInput(JoinFields(input));
+  ASSERT_TRUE(SortInputToTape(ctx).ok());
+  EXPECT_EQ(TapeFields(ctx, 1), expected);
 }
 
 }  // namespace

@@ -179,6 +179,18 @@ TEST(ResolveThreadCountTest, ParseThreadsFlagStripsArgv) {
   EXPECT_STREQ(argv[1], "--benchmark_filter=x");
 }
 
+TEST(ResolveThreadCountTest, ParseThreadsFlagRejectsSignsAndJunk) {
+  ::unsetenv("RSTLAB_THREADS");
+  const std::size_t fallback = ResolveThreadCount(0);
+  for (const char* flag : {"--threads=-1", "--threads=3abc", "--threads=0"}) {
+    const char* raw[] = {"bench", flag};
+    char* argv[] = {const_cast<char*>(raw[0]), const_cast<char*>(raw[1])};
+    int argc = 2;
+    EXPECT_EQ(ParseThreadsFlag(&argc, argv), fallback) << flag;
+    EXPECT_EQ(argc, 1);
+  }
+}
+
 // ---------------------------------------------------------------------
 // BenchRecorder
 // ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -6,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "util/bitstring.h"
+#include "util/parse.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -63,6 +65,38 @@ Status FailsThenPropagates() {
 TEST(ResultTest, ReturnIfErrorMacro) {
   Status s = FailsThenPropagates();
   EXPECT_EQ(s.code(), StatusCode::kInternal);
+}
+
+// ---------------------------------------------------------------------
+// ParseUnsigned
+// ---------------------------------------------------------------------
+
+TEST(ParseUnsignedTest, AcceptsDecimalsInRange) {
+  EXPECT_EQ(ParseUnsigned("0", 0, 10).value(), 0u);
+  EXPECT_EQ(ParseUnsigned("10", 0, 10).value(), 10u);
+  EXPECT_EQ(ParseUnsigned("007", 1, 10).value(), 7u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615", 0, UINT64_MAX).value(),
+            UINT64_MAX);
+}
+
+TEST(ParseUnsignedTest, RejectsSignsAndJunk) {
+  for (const char* text : {"", "-1", "+1", " 1", "1 ", "12abc", "0x10",
+                           "1.5", "abc"}) {
+    const Result<std::uint64_t> parsed = ParseUnsigned(text, 0, 100);
+    EXPECT_FALSE(parsed.ok()) << "'" << text << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ParseUnsignedTest, RejectsOutOfRangeAndOverflow) {
+  EXPECT_FALSE(ParseUnsigned("1", 2, 8).ok());
+  EXPECT_FALSE(ParseUnsigned("9", 2, 8).ok());
+  EXPECT_FALSE(ParseUnsigned("9", 0, 5).ok());
+  EXPECT_FALSE(ParseUnsigned("18446744073709551616", 0, UINT64_MAX).ok());
+  EXPECT_FALSE(ParseUnsigned("99999999999999999999999", 0, UINT64_MAX).ok());
+  // The message names the accepted range.
+  EXPECT_NE(ParseUnsigned("-2", 2, 1024).status().message().find("[2, 1024]"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -22,9 +22,9 @@
 //
 // The sorting commands additionally honor --sort-threads=T,
 // --merge-fanout=K and --run-length=L (RSTLAB_SORT_THREADS /
-// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH): fanout >= 2 routes every
-// decider sort through the parallel k-way external merge sort, whose
-// measured (r, s) bill is identical at every thread count.
+// RSTLAB_MERGE_FANOUT / RSTLAB_RUN_LENGTH), the geometry of the k-way
+// external merge sort behind every decider, whose measured (r, s) bill
+// is identical at every thread count.
 
 #include <poll.h>
 
@@ -123,12 +123,19 @@ int Usage() {
          " ahead on scans\n"
       << "  --sort-threads=<T>                      worker threads for"
          " the k-way sort\n"
+      << "                                          (1.."
+      << rstlab::sorting::kMaxSortThreads << ", default "
+      << rstlab::sorting::SortConfig{}.threads << ")\n"
       << "  --merge-fanout=<K>                      runs merged per"
-         " group (>=2 enables\n"
-      << "                                          the parallel k-way"
-         " sort path)\n"
+         " group\n"
+      << "                                          (2.."
+      << rstlab::sorting::kMaxMergeFanout << ", default "
+      << rstlab::sorting::SortConfig{}.fanout << ")\n"
       << "  --run-length=<L>                        fields per formation"
          " run\n"
+      << "                                          (1.."
+      << rstlab::sorting::kMaxRunLength << ", default "
+      << rstlab::sorting::SortConfig{}.run_length << ")\n"
       << "  --simd=<off|4|8|auto>                   lane width for the"
          " batched\n"
       << "                                          fingerprint engine"
@@ -573,7 +580,7 @@ int Check(const std::vector<std::string>& args) {
     const rstlab::sorting::SortConfig config;
     const rstlab::check::SymbolicSortCertificate cert =
         rstlab::check::CertifyKWaySortSymbolic(/*max_field_len=*/64,
-                                               /*fanout=*/16,
+                                               config.fanout,
                                                config.run_length);
     const rstlab::check::GrowthClass r_growth =
         rstlab::check::GrowthOf(cert.scan_bound);
