@@ -4,7 +4,7 @@
 // The workload is a fixed pool of ~20 distinct experiment payloads
 // (fingerprint, multiset-equality, disjoint, claim1, xpath-count) that
 // every worker cycles through, so after the first pass every artifact —
-// generated instances, prime pools, parsed XML — is a content-hash
+// generated instances, fingerprint setups, parsed XML — is a content-hash
 // cache hit; the steady-state ArtifactCache hit rate is part of the
 // recorded row and the E20 acceptance bar (>= 0.9).
 //

@@ -22,9 +22,11 @@ bool FaultInjectionEnabled() { return g_fault_injection; }
 
 const std::vector<const Suite*>& AllSuites() {
   // Fixed report order: cheap and broad first, so `conform all` output
-  // reads top-down from storage to algorithms.
+  // reads top-down from storage to algorithms. The suites live for the
+  // whole process; statics hold both vectors so none leaks an owner.
+  static std::vector<std::unique_ptr<Suite>>* owned =
+      new std::vector<std::unique_ptr<Suite>>();
   static const auto* suites = [] {
-    auto* owned = new std::vector<std::unique_ptr<Suite>>();
     owned->push_back(MakeTapeBackendSuite());
     owned->push_back(MakeTrialTallySuite());
     owned->push_back(MakeTmNlmSuite());

@@ -40,7 +40,8 @@ struct ServeCase {
 };
 
 /// One random but always-valid experiment request. The mix covers every
-/// artifact-cache kind: generated instances, prime pools, parsed XML.
+/// artifact-cache kind: generated instances, fingerprint setups, parsed
+/// XML.
 ServeRequest MakeRequest(std::uint64_t ordinal, Rng& rng) {
   static const char* kTenants[] = {"alice", "bob", "carol"};
   ServeRequest request;

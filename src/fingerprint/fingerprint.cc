@@ -345,11 +345,10 @@ double EstimateClaim1CollisionRate(const problems::Instance& instance,
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return 0.0;
-  const PrimePool pool(k_result.value());
 
   std::size_t collisions = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    Result<std::uint64_t> p = pool.Sample(rng);
+    Result<std::uint64_t> p = RandomPrimeAtMost(k_result.value(), rng);
     if (!p.ok()) continue;
     if (HasResidueCollision(instance, p.value())) ++collisions;
   }
@@ -363,8 +362,7 @@ Claim1Estimate EstimateClaim1CollisionRate(
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return estimate;
-  // Sieve once on the calling thread; workers only read.
-  const PrimePool pool(k_result.value());
+  const std::uint64_t k = k_result.value();
   const parallel::SeedSequence seeds(seed);
   struct CollisionTally {
     std::uint64_t trials = 0;
@@ -377,14 +375,13 @@ Claim1Estimate EstimateClaim1CollisionRate(
   const CollisionTally tally = runner.RunSeeded<CollisionTally>(
       trials, seeds,
       [&](std::uint64_t, Rng& rng, CollisionTally& local) {
-        Result<std::uint64_t> p = pool.Sample(rng);
+        Result<std::uint64_t> p = RandomPrimeAtMost(k, rng);
         if (!p.ok()) return;
         ++local.trials;
         if (HasResidueCollision(instance, p.value())) ++local.collisions;
       });
-  // The rate denominator stays the requested trial count (failed prime
-  // draws are impossible in the sieved regime and merely skipped
-  // otherwise, matching the serial estimator).
+  // The rate denominator stays the requested trial count (a prime draw
+  // that does not converge is skipped, matching the serial estimator).
   estimate.trials = trials;
   estimate.collisions = tally.collisions;
   return estimate;

@@ -88,8 +88,8 @@ struct Claim1Estimate {
 /// Parallel Claim 1 estimator: trial t draws its prime from an Rng
 /// derived from (seed, t) via parallel::SeedSequence, so the tally is a
 /// pure function of (instance, trials, seed) — identical for any thread
-/// count. The primes <= k are sieved once into a PrimePool shared
-/// read-only across workers.
+/// count. Primes are drawn with RandomPrimeAtMost, never sieved, so a
+/// call costs O(trials) draws whatever pi(k) is.
 Claim1Estimate EstimateClaim1CollisionRate(
     const problems::Instance& instance, std::size_t trials,
     std::uint64_t seed, parallel::TrialRunner& runner);

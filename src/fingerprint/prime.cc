@@ -23,34 +23,49 @@ std::uint64_t PowMod(std::uint64_t base, std::uint64_t exponent,
   return result;
 }
 
+namespace {
+
+/// Whether odd n > 2 with n - 1 = d * 2^r passes the strong-probable-
+/// prime test to base a (a % n != 0).
+bool StrongProbablePrime(std::uint64_t n, std::uint64_t d, int r,
+                         std::uint64_t a) {
+  std::uint64_t x = PowMod(a, d, n);
+  if (x == 1 || x == n - 1) return true;
+  for (int i = 0; i < r - 1; ++i) {
+    x = MulMod(x, x, n);
+    if (x == n - 1) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 bool IsPrime(std::uint64_t n) {
   if (n < 2) return false;
   for (std::uint64_t p : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL,
                           19ULL, 23ULL, 29ULL, 31ULL, 37ULL}) {
     if (n % p == 0) return n == p;
   }
-  // Miller-Rabin with a witness set that is exact for all n < 2^64.
   std::uint64_t d = n - 1;
   int r = 0;
   while ((d & 1) == 0) {
     d >>= 1;
     ++r;
   }
-  for (std::uint64_t a : {2ULL, 3ULL, 5ULL, 7ULL, 11ULL, 13ULL, 17ULL,
-                          19ULL, 23ULL, 29ULL, 31ULL, 37ULL}) {
-    std::uint64_t x = PowMod(a, d, n);
-    if (x == 1 || x == n - 1) continue;
-    bool composite = true;
-    for (int i = 0; i < r - 1; ++i) {
-      x = MulMod(x, x, n);
-      if (x == n - 1) {
-        composite = false;
-        break;
-      }
+  // Miller-Rabin witness sets: {2, 7, 61} is exact below 4,759,123,141
+  // (its smallest strong pseudoprime to all three bases), the 12 primes
+  // up to 37 for every n < 2^64. A base that n divides says nothing and
+  // is skipped (n = 61 would otherwise be called composite).
+  static constexpr std::array<std::uint64_t, 3> kSmallBases = {2, 7, 61};
+  static constexpr std::array<std::uint64_t, 12> kAllBases = {
+      2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  const auto passes = [&](const auto& bases) {
+    for (const std::uint64_t a : bases) {
+      if (a % n != 0 && !StrongProbablePrime(n, d, r, a)) return false;
     }
-    if (composite) return false;
-  }
-  return true;
+    return true;
+  };
+  return n < 4759123141ULL ? passes(kSmallBases) : passes(kAllBases);
 }
 
 Result<std::uint64_t> RandomPrimeAtMost(std::uint64_t k, Rng& rng) {

@@ -17,7 +17,8 @@ std::uint64_t PowMod(std::uint64_t base, std::uint64_t exponent,
                      std::uint64_t modulus);
 
 /// Deterministic primality test, exact for all 64-bit integers
-/// (Miller-Rabin with the standard 12-base witness set).
+/// (Miller-Rabin with bases {2, 7, 61} below 4,759,123,141 and the
+/// standard 12-base witness set above).
 bool IsPrime(std::uint64_t n);
 
 /// A prime chosen uniformly at random among the primes <= k (paper

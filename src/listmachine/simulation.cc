@@ -260,6 +260,8 @@ Result<SimulationResult> SimulateTmAsNlm(
           behind.begin = std::max(cur.begin, std::min(p + 1, cur.end));
           behind.end = cur.end;
           cur.end = behind.begin;
+          // The insert may reallocate and leave `cur` dangling.
+          const std::size_t cur_begin = cur.begin;
           ls.cells.insert(
               ls.cells.begin() + static_cast<std::ptrdiff_t>(h) + 1,
               behind);
@@ -268,7 +270,7 @@ Result<SimulationResult> SimulateTmAsNlm(
           if (turning) {
             // (+1,false) with d=-1: head lands on the inserted cell.
             ls.cells[h + 1].begin =
-                std::max(ls.cells[h].begin, std::min(p, cur.begin));
+                std::max(ls.cells[h].begin, std::min(p, cur_begin));
             ls.cells[h].end = ls.cells[h + 1].begin;
             ls.head = h + 1;
             record.cell_moves[i] = +1;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -19,10 +20,10 @@ namespace rstlab::serve {
 /// caches key identically.
 std::uint64_t HashContent(std::string_view content);
 
-/// A content-hash-keyed LRU cache for the expensive per-request
-/// artifacts the experiment service would otherwise rebuild on every
-/// request: sieved prime pools, parsed instances, parsed XML documents,
-/// analyzer certificates.
+/// A content-hash-keyed LRU cache for the per-request artifacts the
+/// experiment service would otherwise rebuild on every request:
+/// fingerprint setups, parsed and generated instances, parsed XML
+/// documents and queries, analyzer certificates.
 ///
 /// Lookup keys on (kind, HashContent(content)) — the kind string
 /// partitions the namespace so two artifact types can never collide,
@@ -36,11 +37,14 @@ std::uint64_t HashContent(std::string_view content);
 /// shared_ptrs: readers hold their reference for as long as they need
 /// it, so eviction never invalidates an in-flight request.
 ///
-/// Thread safety: every public method is safe to call concurrently. A
-/// factory runs under the cache lock, serializing the first
-/// construction of an artifact so concurrent identical requests build
-/// it exactly once (single-flight); artifacts here are milliseconds to
-/// build, which is far cheaper than building one per concurrent miss.
+/// Thread safety: every public method is safe to call concurrently.
+/// Factories run outside the cache lock, with single-flight per key: a
+/// miss leaves an in-flight entry for its key while it builds, and
+/// concurrent requests for the same key wait for that one build
+/// instead of starting their own (they count as hits). Requests for
+/// any other key never wait on it, however slow the factory is. A
+/// factory that throws rethrows to its waiters and leaves no in-flight
+/// entry behind, so the next request builds afresh.
 ///
 /// Hit/miss/eviction totals are published to an optional
 /// `obs::MetricsRegistry` as `serve.cache.hits`, `serve.cache.misses`
@@ -48,6 +52,7 @@ std::uint64_t HashContent(std::string_view content);
 class ArtifactCache {
  public:
   struct Stats {
+    /// Includes requests that waited on another request's build.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -74,7 +79,8 @@ class ArtifactCache {
 
   /// The artifact for (kind, content), building it via `factory` on
   /// miss. A null result from `factory` is not cached (failed builds
-  /// retry on the next request).
+  /// retry on the next request); requests that waited on that build get
+  /// null too.
   template <typename T>
   std::shared_ptr<const T> GetOrCreate(
       std::string_view kind, std::string_view content,
@@ -115,6 +121,14 @@ class ArtifactCache {
     std::string content;
     std::shared_ptr<const void> value;
   };
+  // A build in progress: its content (verified like an entry's) and
+  // the future its waiters block on.
+  struct Flight {
+    std::string content;
+    std::shared_future<std::shared_ptr<const void>> result;
+  };
+
+  void CountLocked(std::uint64_t Stats::*counter, const char* metric);
 
   std::size_t capacity_;
   obs::MetricsRegistry* metrics_;
@@ -122,6 +136,8 @@ class ArtifactCache {
   // Most-recently-used at the front; map values point into the list.
   std::list<Entry> lru_;
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  // Keys whose factory is running; never also in index_.
+  std::unordered_map<Key, Flight, KeyHash> inflight_;
   Stats stats_;
 };
 

@@ -8,7 +8,6 @@
 
 #include "fingerprint/fingerprint.h"
 #include "fingerprint/prime.h"
-#include "fingerprint/prime_pool.h"
 #include "parallel/bench_recorder.h"
 #include "parallel/seed_sequence.h"
 #include "parallel/trial_runner.h"
@@ -28,13 +27,13 @@ namespace {
 using parallel::Checksum64;
 
 /// Everything the Theorem 8(a) tester needs that depends only on
-/// (m, n): the parameter k, the fixed Bertrand prime p2 and the sieved
-/// pool of candidate p1 primes. One artifact per (m, n), shared by
-/// every request and every trial.
+/// (m, n): the parameter k and the fixed Bertrand prime p2. One
+/// artifact per (m, n), shared by every request and every trial. Each
+/// trial draws its own p1 by rejection sampling (step (2)), so no
+/// artifact ever holds the pi(k) primes <= k.
 struct FingerprintSetup {
   std::uint64_t k = 0;
   std::uint64_t p2 = 0;
-  std::unique_ptr<fingerprint::PrimePool> pool;
 };
 
 /// Generates the instance a GeneratorSpec describes (pure function of
@@ -243,7 +242,7 @@ Result<ExperimentResult> ExperimentService::Execute(
   }
 
   // --- fingerprint: the Theorem 8(a) randomized tester, one trial per
-  // seed-derived parameter draw, prime pool shared via the cache. ---
+  // seed-derived parameter draw, (k, p2) shared via the cache. ---
   const std::size_t m = instance->m();
   const std::size_t n = fingerprint::MaxValueBits(*instance);
   Result<std::uint64_t> k = fingerprint::ComputeFingerprintK(m, n);
@@ -260,8 +259,6 @@ Result<ExperimentResult> ExperimentService::Execute(
             auto built = std::make_shared<FingerprintSetup>();
             built->k = k.value();
             built->p2 = p2.value();
-            built->pool =
-                std::make_unique<fingerprint::PrimePool>(k.value());
             return built;
           });
   if (setup == nullptr) {
@@ -280,7 +277,8 @@ Result<ExperimentResult> ExperimentService::Execute(
           obs::MakeTrialEvent(obs::EventKind::kTrialBegin, trial));
     }
     Rng rng = seeds.RngForTrial(trial);
-    Result<std::uint64_t> p1 = setup->pool->Sample(rng);
+    Result<std::uint64_t> p1 =
+        fingerprint::RandomPrimeAtMost(setup->k, rng);
     if (!p1.ok()) return p1.status();
     fingerprint::FingerprintParams params;
     params.k = setup->k;

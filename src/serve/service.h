@@ -52,8 +52,8 @@ struct ExperimentResult {
 /// and is deterministic per request payload.
 class ExperimentService {
  public:
-  /// Uses `cache` for prime pools, parsed instances/XML/queries and
-  /// analyzer certificates.
+  /// Uses `cache` for fingerprint setups (k, p2), parsed
+  /// instances/XML/queries and analyzer certificates.
   explicit ExperimentService(ArtifactCache& cache);
 
   /// Runs one request. `events` (nullable) receives NDJSON progress

@@ -67,6 +67,31 @@ TEST(PrimeTest, IsPrimeLargeKnownValues) {
   EXPECT_FALSE(IsPrime(41041));
 }
 
+TEST(PrimeTest, IsPrimeMatchesTheSieveBelowOneMillion) {
+  // The {2, 7, 61} witness set below 4,759,123,141 against an
+  // independent enumeration; the range holds the strong pseudoprimes
+  // to base 2 (2047, 3277, 4033, ...) and to bases 2 and 7.
+  const PrimePool pool(1000000);
+  std::vector<bool> sieved(1000001, false);
+  for (const std::uint64_t p : pool.primes()) sieved[p] = true;
+  for (std::uint64_t n = 0; n <= 1000000; ++n) {
+    ASSERT_EQ(IsPrime(n), sieved[n]) << n;
+  }
+}
+
+TEST(PrimeTest, IsPrimeWitnessSetBoundaries) {
+  // A base equal to n is skipped, not taken as a witness.
+  EXPECT_TRUE(IsPrime(61));
+  // Strong pseudoprime to bases 2, 3, 5 and 7; base 61 exposes it.
+  EXPECT_FALSE(IsPrime(3215031751ULL));
+  // The smallest strong pseudoprime to 2, 7 and 61 (48781 * 97561):
+  // the first n that needs the 12-base set.
+  EXPECT_FALSE(IsPrime(4759123141ULL));
+  EXPECT_TRUE(IsPrime(4294967291ULL));   // largest prime < 2^32
+  EXPECT_TRUE(IsPrime(4759123129ULL));   // largest prime < 4759123141
+  EXPECT_TRUE(IsPrime(4759123151ULL));   // smallest prime > 4759123141
+}
+
 TEST(PrimeTest, RandomPrimeAtMostIsPrimeAndBounded) {
   Rng rng(5);
   for (std::uint64_t k : {2ULL, 10ULL, 1000ULL, 1000000ULL}) {

@@ -2,11 +2,13 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -15,6 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "fingerprint/fingerprint.h"
+#include "fingerprint/prime.h"
+#include "fingerprint/prime_pool.h"
 #include "obs/metrics.h"
 #include "serve/artifact_cache.h"
 #include "serve/client.h"
@@ -27,6 +32,7 @@
 #include "serve/shard.h"
 #include "serve/shutdown.h"
 #include "serve/trace_bridge.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace rstlab::serve {
@@ -363,6 +369,26 @@ TEST(RequestTest, CertificateCacheIsKeyedByRequestSize) {
 // ArtifactCache: content-hash keying, single-flight, LRU eviction.
 // ---------------------------------------------------------------------
 
+/// A gate the test holds closed while it stacks up queued jobs or
+/// holds a cache factory mid-build.
+class Gate {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(ArtifactCacheTest, MissBuildsOnceThenHits) {
   obs::MetricsRegistry metrics;
   ArtifactCache cache(4, &metrics);
@@ -473,6 +499,130 @@ TEST(ArtifactCacheTest, HashCollisionFallsBackToFactory) {
   EXPECT_EQ(cache.stats().hits, 1u);
 }
 
+/// Spins until `done` holds (false after 20 s), so the tests below
+/// wait for threads to reach a known point rather than sleep a guessed
+/// time.
+template <typename Predicate>
+bool WaitUntil(Predicate done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// Whether `probe` finished within 20 s. Checks made while a factory is
+/// held open run on a probe thread: a cache that keeps its lock through
+/// a factory blocks even stats(), and must fail the test, not hang it.
+bool FinishesInTime(const std::future<bool>& probe) {
+  return probe.wait_for(std::chrono::seconds(20)) ==
+         std::future_status::ready;
+}
+
+TEST(ArtifactCacheTest, SingleFlightPerKeyWithoutBlockingOtherKeys) {
+  // Factory A blocks on a gate. Meanwhile N - 1 more requests for A
+  // must join A's build rather than start their own, and key B must be
+  // served, miss and hit. Every step waits on an observed state, never
+  // on a sleep, so the outcome is deterministic.
+  constexpr int kRacers = 6;
+  ArtifactCache cache(8);
+  Gate release_a;
+  std::atomic<int> a_builds{0};
+  std::atomic<bool> a_started{false};
+  const auto build_a = [&]() -> std::shared_ptr<const int> {
+    a_builds.fetch_add(1);
+    a_started.store(true);
+    release_a.Wait();
+    return std::make_shared<const int>(1);
+  };
+  std::vector<std::shared_ptr<const int>> seen(kRacers);
+  std::vector<std::thread> racers;
+  racers.emplace_back(
+      [&] { seen[0] = cache.GetOrCreate<int>("k", "a", build_a); });
+  EXPECT_TRUE(WaitUntil([&] { return a_started.load(); }));
+  for (int i = 1; i < kRacers; ++i) {
+    racers.emplace_back(
+        [&, i] { seen[i] = cache.GetOrCreate<int>("k", "a", build_a); });
+  }
+  int b_builds = 0;
+  std::future<bool> probe = std::async(std::launch::async, [&] {
+    // Joining an in-flight build counts as a hit.
+    const bool joined =
+        WaitUntil([&] { return cache.stats().hits == kRacers - 1; });
+    const auto build_b = [&b_builds]() -> std::shared_ptr<const int> {
+      ++b_builds;
+      return std::make_shared<const int>(2);
+    };
+    const bool b_served = *cache.GetOrCreate<int>("k", "b", build_b) == 2 &&
+                          *cache.GetOrCreate<int>("k", "b", build_b) == 2;
+    return joined && b_served;
+  });
+  EXPECT_TRUE(FinishesInTime(probe)) << "a request waited on key A's build";
+  EXPECT_EQ(a_builds.load(), 1);
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(),
+                          [](const auto& v) { return v == nullptr; }))
+      << "a request for A returned before A's build finished";
+
+  release_a.Open();
+  for (std::thread& t : racers) t.join();
+  EXPECT_TRUE(probe.get()) << "racers on A did not join its build";
+  EXPECT_EQ(b_builds, 1);
+  EXPECT_EQ(a_builds.load(), 1) << "racing misses on A built it twice";
+  for (const std::shared_ptr<const int>& value : seen) {
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(value, seen[0]) << "waiters must share the one artifact";
+  }
+  const ArtifactCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);  // A once, B once
+  EXPECT_EQ(stats.hits, static_cast<std::uint64_t>(kRacers - 1) + 1);
+  EXPECT_EQ(stats.entries, 2u);
+}
+
+TEST(ArtifactCacheTest, ThrowingFactoryReachesWaitersAndLeavesNoFlight) {
+  ArtifactCache cache(4);
+  Gate release;
+  std::atomic<bool> started{false};
+  const auto throwing = [&]() -> std::shared_ptr<const int> {
+    started.store(true);
+    release.Wait();
+    throw std::runtime_error("factory failed");
+  };
+  const auto request_throws = [&] {
+    try {
+      cache.GetOrCreate<int>("k", "x", throwing);
+    } catch (const std::runtime_error&) {
+      return true;
+    }
+    return false;
+  };
+  std::future<bool> builder = std::async(std::launch::async, request_throws);
+  EXPECT_TRUE(WaitUntil([&] { return started.load(); }));
+  std::future<bool> waiter = std::async(std::launch::async, request_throws);
+  std::future<bool> joined = std::async(std::launch::async, [&] {
+    return WaitUntil([&] { return cache.stats().hits == 1; });
+  });
+  EXPECT_TRUE(FinishesInTime(joined)) << "a request waited on the lock";
+  release.Open();
+  EXPECT_TRUE(joined.get()) << "the second request did not join the build";
+  EXPECT_TRUE(builder.get());
+  EXPECT_TRUE(waiter.get()) << "a waiter must see the build's failure";
+
+  // No in-flight entry survives the throw: the next request builds.
+  int builds = 0;
+  const auto ok = [&builds]() -> std::shared_ptr<const int> {
+    ++builds;
+    return std::make_shared<const int>(5);
+  };
+  const std::shared_ptr<const int> value =
+      cache.GetOrCreate<int>("k", "x", ok);
+  ASSERT_NE(value, nullptr);
+  EXPECT_EQ(*value, 5);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(cache.stats().entries, 1u);
+}
+
 TEST(ArtifactCacheTest, ContentHashIsStable) {
   // The shard-determinism argument needs every process to key its cache
   // identically; pin the FNV-1a values so a drift is loud.
@@ -483,27 +633,136 @@ TEST(ArtifactCacheTest, ContentHashIsStable) {
 }
 
 // ---------------------------------------------------------------------
-// FairScheduler: bounded admission and per-tenant round-robin.
+// ExperimentService: the fingerprint draw path. Each trial draws p1
+// with RandomPrimeAtMost; frames must stay a pure function of the
+// payload whatever the cache, and one-sided error must hold.
 // ---------------------------------------------------------------------
 
-/// A gate the test holds closed while it stacks up queued jobs.
-class Gate {
- public:
-  void Open() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  void Wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return open_; });
-  }
+ExperimentRequest FingerprintRequest(std::uint64_t m, std::uint64_t n,
+                                     std::uint64_t generator_seed,
+                                     std::uint64_t trials,
+                                     std::uint64_t seed) {
+  Result<ExperimentRequest> request = ParseExperimentRequest(
+      JsonWriter()
+          .Field("request_id", "fp-" + std::to_string(m))
+          .Field("tenant", "alice")
+          .Field("problem", "fingerprint")
+          .FieldRaw("generator", JsonWriter()
+                                     .Field("kind", "equal")
+                                     .Field("m", m)
+                                     .Field("n", n)
+                                     .Field("seed", generator_seed)
+                                     .Build())
+          .Field("trials", trials)
+          .Field("seed", seed)
+          .Build());
+  EXPECT_TRUE(request.ok()) << request.status();
+  return request.value();
+}
 
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
+/// E20's eight fingerprint shapes (m = 16..72, n = 12, k = 0.79M..103M,
+/// all within PrimePool's sieve limit) plus m = 80, whose k is above it.
+std::vector<ExperimentRequest> DrawPathRequests() {
+  std::vector<ExperimentRequest> requests;
+  for (std::uint64_t v = 0; v < 8; ++v) {
+    requests.push_back(FingerprintRequest(16 + 8 * v, 12, v, 16, 100 + v));
+  }
+  requests.push_back(FingerprintRequest(80, 12, 8, 16, 108));
+  return requests;
+}
+
+TEST(ServeDrawPathTest, FramesAreByteIdenticalAcrossFreshServices) {
+  const std::vector<ExperimentRequest> requests = DrawPathRequests();
+  const Result<std::uint64_t> widest = fingerprint::ComputeFingerprintK(
+      requests.back().generator->m, requests.back().generator->n);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_GT(widest.value(), std::uint64_t{1} << 27)
+      << "the last shape must sit above the sieve limit";
+  std::vector<std::string> frames[2];
+  for (std::vector<std::string>& run : frames) {
+    ArtifactCache cache(16);
+    ExperimentService service(cache);
+    for (const ExperimentRequest& request : requests) {
+      const Result<ExperimentResult> result = service.Execute(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      // Equal multisets: Theorem 8(a) has one-sided error.
+      EXPECT_EQ(result.value().executed_trials, request.trials);
+      EXPECT_EQ(result.value().accepts, request.trials)
+          << "a trial rejected equal multisets at m = "
+          << request.generator->m;
+      run.push_back(result.value().ToJson());
+    }
+  }
+  EXPECT_EQ(frames[0], frames[1]);
+}
+
+TEST(ServeDrawPathTest, ConcurrentRequestsOnOneCacheMatchSerialFrames) {
+  const std::vector<ExperimentRequest> requests = DrawPathRequests();
+  std::vector<std::string> serial;
+  {
+    ArtifactCache cache(16);
+    ExperimentService service(cache);
+    for (const ExperimentRequest& request : requests) {
+      const Result<ExperimentResult> result = service.Execute(request);
+      ASSERT_TRUE(result.ok()) << result.status();
+      serial.push_back(result.value().ToJson());
+    }
+  }
+  // Four threads each run the whole list on one shared cache, so every
+  // fingerprint setup is raced for by several misses at once.
+  constexpr int kThreads = 4;
+  ArtifactCache cache(16);
+  ExperimentService service(cache);
+  std::vector<std::vector<std::string>> threaded(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const ExperimentRequest& request : requests) {
+        const Result<ExperimentResult> result = service.Execute(request);
+        threaded[t].push_back(result.ok() ? result.value().ToJson() : "");
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const std::vector<std::string>& run : threaded) {
+    EXPECT_EQ(run, serial);
+  }
+}
+
+TEST(ServeDrawPathTest, RandomPrimeAtMostIsUniformOverThePool) {
+  // Pearson's chi-square over the 168 primes <= 1000, 200,000 draws
+  // from a fixed seed: the statistic is one deterministic number, held
+  // under the p = 0.001 quantile of chi-square with 167 degrees of
+  // freedom (229.3, Wilson-Hilferty), so the test cannot flake.
+  const fingerprint::PrimePool pool(1000);
+  const std::vector<std::uint64_t>& primes = pool.primes();
+  ASSERT_EQ(primes.size(), 168u);
+  std::vector<std::uint64_t> counts(1001, 0);
+  constexpr int kDraws = 200000;
+  Rng rng(2006);
+  for (int i = 0; i < kDraws; ++i) {
+    const Result<std::uint64_t> p = fingerprint::RandomPrimeAtMost(1000, rng);
+    ASSERT_TRUE(p.ok());
+    ASSERT_LE(p.value(), 1000u);
+    ++counts[p.value()];
+  }
+  const double expected =
+      static_cast<double>(kDraws) / static_cast<double>(primes.size());
+  double chi_square = 0.0;
+  std::uint64_t in_pool = 0;
+  for (const std::uint64_t p : primes) {
+    const double delta = static_cast<double>(counts[p]) - expected;
+    chi_square += delta * delta / expected;
+    in_pool += counts[p];
+  }
+  EXPECT_EQ(in_pool, static_cast<std::uint64_t>(kDraws))
+      << "a draw landed outside the primes <= 1000";
+  EXPECT_LT(chi_square, 229.3);
+}
+
+// ---------------------------------------------------------------------
+// FairScheduler: bounded admission and per-tenant round-robin.
+// ---------------------------------------------------------------------
 
 TEST(FairSchedulerTest, RejectsBeyondAdmissionBound) {
   FairScheduler::Options options;
