@@ -4,7 +4,9 @@
 // A1-A3/E1/E2 consume batches without changing a single recorded
 // number. This suite drives three differentials per case:
 //   1. engine sums/verdicts at {scalar, lanes4, lanes8} against each
-//      other and against the per-lane AcceptsWithParams reference;
+//      other and against the per-lane AcceptsWithParams reference, on
+//      narrow moduli (the 32-bit Shoup kernels) and, every fourth case,
+//      on wide ones (the exact Barrett table path);
 //   2. the batched Claim 1 estimator on a 1-thread vs an N-thread
 //      runner (RunSeededBatches group layout must be schedule-free);
 //   3. the hardened tape tester against Instance::Parse on possibly
@@ -204,11 +206,18 @@ class FingerprintBatchSuite final : public Suite {
                       std::uint64_t index) const override {
     Rng rng(CaseRngSeed(CaseId{name(), seed, index}));
     BatchCase c;
-    c.m = 1 + static_cast<std::size_t>(rng.UniformBelow(6));
-    c.n = 1 + static_cast<std::size_t>(rng.UniformBelow(16));
+    // Every fourth case draws a shape with k >= 2^31, so p2 > 3k leaves
+    // the 32-bit Shoup domain and the engine runs its exact wide path;
+    // n in [32, 130] also crosses the 64- and 128-bit word boundaries
+    // of BitString::ModUint64.
+    const bool wide = index % 4 == 1;
+    c.m = wide ? 160 + static_cast<std::size_t>(rng.UniformBelow(97))
+               : 1 + static_cast<std::size_t>(rng.UniformBelow(6));
+    c.n = wide ? 32 + static_cast<std::size_t>(rng.UniformBelow(99))
+               : 1 + static_cast<std::size_t>(rng.UniformBelow(16));
     c.lanes = 1 + static_cast<std::size_t>(rng.UniformBelow(9));
     c.threads = static_cast<std::size_t>(rng.UniformInRange(2, 6));
-    c.claim_trials = 1 + rng.UniformBelow(16);
+    c.claim_trials = 1 + rng.UniformBelow(wide ? 4 : 16);
     c.workload_seed = rng.Next64();
     // Every third case exercises the malformed-encoding differential.
     c.mutation = index % 3 == 0

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 
+#include "fingerprint/collision.h"
 #include "fingerprint/prime_pool.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -18,8 +18,10 @@ namespace {
 
 /// The 32-bit Shoup kernel's domain: every modulus must satisfy
 /// m < 2^31 so that a*w, q*p < 2^62 and every intermediate fits a
-/// (signed-comparable) 64-bit lane. Paper-sized parameters always
-/// qualify (6k <= 2^62 caps p2 only for astronomically large m*n).
+/// (signed-comparable) 64-bit lane. Only small shapes qualify: p2 > 3k
+/// must stay below 2^31, i.e. k = m^3 * n * ceil(log2(m^3 * n)) below
+/// ~7.2e8, which m = 128 with n = 16 already exceeds. E1's larger m and
+/// the benchmark's m = 4096 run on the exact wide path.
 constexpr std::uint64_t kShoupDomain = std::uint64_t{1} << 31;
 
 /// Lane-group width of the kernels; batches are padded up to it.
@@ -287,28 +289,28 @@ BatchFingerprintEngine::BatchFingerprintEngine(FingerprintParamBatch batch,
   std::copy(batch_.p1.begin(), batch_.p1.end(), p1_.begin());
   std::copy(batch_.p2.begin(), batch_.p2.end(), p2_.begin());
   std::copy(batch_.x.begin(), batch_.x.end(), x_.begin());
-  if (!narrow_) return;  // one-pass wide path needs no tables
 
-  // Tables: xpow[j][lane] = x^(2^j) mod p2 and its Shoup companion,
-  // for every exponent bit the residues e < p1 can have. Moduli are
-  // < 2^31, so squaring stays within u64 without Barrett.
+  // Tables: xpow[j][lane] = x^(2^j) mod p2 for every exponent bit the
+  // residues e < p1 can have, built by Barrett squaring; narrow lanes
+  // also get the Shoup companions of the 32-bit kernels.
   std::uint64_t max_e = 1;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     max_e = std::max(max_e, batch_.p1[lane] - 1);
   }
   table_levels_ = static_cast<unsigned>(std::bit_width(max_e));
   xpow_.resize(static_cast<std::size_t>(table_levels_) * padded_);
-  xshoup_.resize(xpow_.size());
+  if (narrow_) xshoup_.resize(xpow_.size());
   for (std::size_t lane = 0; lane < padded_; ++lane) {
-    const std::uint64_t p2v = p2_[lane];
-    std::uint64_t w = x_[lane] % p2v;
+    const Barrett bp2(p2_[lane]);
+    std::uint64_t w = x_[lane] % p2_[lane];
     for (unsigned j = 0; j < table_levels_; ++j) {
-      xpow_[static_cast<std::size_t>(j) * padded_ + lane] = w;
-      xshoup_[static_cast<std::size_t>(j) * padded_ + lane] =
-          (w << 32) / p2v;
-      w = (w * w) % p2v;
+      const std::size_t at = static_cast<std::size_t>(j) * padded_ + lane;
+      xpow_[at] = w;
+      if (narrow_) xshoup_[at] = (w << 32) / p2_[lane];
+      w = bp2.MulMod(w, w);
     }
   }
+  if (!narrow_) return;
 #if defined(RSTLAB_BATCH_AVX2)
   use_avx2_ = __builtin_cpu_supports("avx2") != 0;
 #endif
@@ -340,7 +342,8 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
   if (!narrow_) {
     // Out-of-domain moduli: keep the one-pass schedule (all lanes'
     // residues advance during a single scan of each value's bits) but
-    // run the arithmetic in exact scalar u64 / Barrett form.
+    // run the arithmetic in exact scalar u64 / Barrett form. x^e is the
+    // product of the table rows at e's set bits: popcount(e) MulMods.
     const std::size_t lanes = batch_.lanes();
     std::vector<std::uint64_t> residues(lanes);
     for (const BitString& v : values) {
@@ -354,8 +357,14 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
         }
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        sums[lane] += barrett_p2_[lane].PowMod(batch_.x[lane],
-                                               residues[lane]);
+        const Barrett& bp2 = barrett_p2_[lane];
+        std::uint64_t power = 1;
+        for (std::uint64_t e = residues[lane]; e != 0; e &= e - 1) {
+          const std::size_t row =
+              static_cast<std::size_t>(std::countr_zero(e));
+          power = bp2.MulMod(power, xpow_[row * padded_ + lane]);
+        }
+        sums[lane] += power;
         if (sums[lane] >= batch_.p2[lane]) sums[lane] -= batch_.p2[lane];
       }
     }
@@ -506,25 +515,12 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
         }
         const std::vector<std::uint64_t> residues =
             BatchResidues(instance, primes, level);
-        for (std::size_t lane = 0; lane < primes.size(); ++lane) {
-          std::unordered_map<std::uint64_t, std::vector<std::size_t>>
-              by_residue;
-          for (std::size_t j = 0; j < instance.second.size(); ++j) {
-            by_residue[residues[(m_first + j) * primes.size() + lane]]
-                .push_back(j);
-          }
-          bool collided = false;
-          for (std::size_t i = 0; i < m_first && !collided; ++i) {
-            const auto it =
-                by_residue.find(residues[i * primes.size() + lane]);
-            if (it == by_residue.end()) continue;
-            for (const std::size_t j : it->second) {
-              if (instance.second[j] != instance.first[i]) {
-                collided = true;
-                break;
-              }
-            }
-          }
+        const std::size_t stride = primes.size();
+        ResidueCollisionTable table;
+        for (std::size_t lane = 0; lane < stride; ++lane) {
+          const bool collided = table.HasCollision(
+              instance.first, residues.data() + lane, instance.second,
+              residues.data() + m_first * stride + lane, stride);
           local.collisions += collided ? 1 : 0;
         }
       });

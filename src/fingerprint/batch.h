@@ -71,13 +71,14 @@ struct BatchTally {
 /// Evaluates a fixed parameter batch against instances.
 ///
 /// Construction precomputes, per lane, the Barrett reciprocal of p2
-/// and — when every lane fits the 32-bit Shoup kernel (p1, p2 < 2^31,
-/// always true for paper-sized parameters) — the table of squared
-/// powers x^(2^j) mod p2 with their Shoup companions, padded to the
-/// lane-group width. `Evaluate` then makes ONE pass over the value
-/// stream: each value's bits update every lane's residue accumulator,
-/// and each finished residue multiplies every lane's sum via the
-/// precomputed tables.
+/// and, for the one-pass levels, the table of squared powers
+/// x^(2^j) mod p2, padded to the lane-group width. When every lane fits the 32-bit Shoup kernel
+/// (p1, p2 < 2^31: small shapes only, k below ~7.2e8) the table also
+/// holds Shoup companions for the vector kernels; otherwise the one-pass
+/// loop multiplies the table rows in with exact Barrett MulMods.
+/// `Evaluate` then makes ONE pass over the value stream: each value's
+/// bits update every lane's residue accumulator, and each finished
+/// residue multiplies every lane's sum via the precomputed tables.
 ///
 /// The level picks the schedule, never the result:
 ///   kScalar         lane-major reference loop (ModUint64 + Barrett
@@ -87,8 +88,9 @@ struct BatchTally {
 ///   kLanes4/kLanes8 value-major one-pass schedule over groups of 4/8
 ///                   lanes, executed by AVX2 kernels when the CPU has
 ///                   them, by the `simd::U64x2` wrapper otherwise, and
-///                   by exact scalar loops when some lane's modulus
-///                   exceeds the 32-bit kernel's domain.
+///                   by exact scalar Barrett loops over the same
+///                   table when some lane's modulus exceeds the 32-bit
+///                   kernel's domain.
 class BatchFingerprintEngine {
  public:
   explicit BatchFingerprintEngine(
@@ -127,7 +129,7 @@ class BatchFingerprintEngine {
   std::vector<std::uint64_t> p2_;
   std::vector<std::uint64_t> x_;
   std::vector<std::uint64_t> xpow_;   // [j * padded_ + lane] = x^(2^j) mod p2
-  std::vector<std::uint64_t> xshoup_;  // floor(xpow << 32 / p2)
+  std::vector<std::uint64_t> xshoup_;  // floor(xpow << 32 / p2); narrow only
   std::vector<Barrett> barrett_p2_;   // one per real lane
 };
 

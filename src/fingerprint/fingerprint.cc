@@ -2,11 +2,10 @@
 
 #include <bit>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "fingerprint/barrett.h"
+#include "fingerprint/collision.h"
 #include "fingerprint/prime.h"
 #include "fingerprint/prime_pool.h"
 #include "stmodel/internal_arena.h"
@@ -87,21 +86,20 @@ std::uint64_t CountAcceptingX(const problems::Instance& instance,
 /// v_i != v'_j collide mod p?
 bool HasResidueCollision(const problems::Instance& instance,
                          std::uint64_t p) {
-  // residue -> distinct second-list values with that residue
-  std::unordered_map<std::uint64_t,
-                     std::unordered_set<BitString, BitStringHash>>
-      by_residue;
-  for (const BitString& v : instance.second) {
-    by_residue[v.ModUint64(p)].insert(v);
-  }
+  std::vector<std::uint64_t> first_residues;
+  std::vector<std::uint64_t> second_residues;
+  first_residues.reserve(instance.first.size());
+  second_residues.reserve(instance.second.size());
   for (const BitString& v : instance.first) {
-    auto it = by_residue.find(v.ModUint64(p));
-    if (it == by_residue.end()) continue;
-    for (const BitString& w : it->second) {
-      if (w != v) return true;
-    }
+    first_residues.push_back(v.ModUint64(p));
   }
-  return false;
+  for (const BitString& v : instance.second) {
+    second_residues.push_back(v.ModUint64(p));
+  }
+  ResidueCollisionTable table;
+  return table.HasCollision(instance.first, first_residues.data(),
+                            instance.second, second_residues.data(),
+                            /*stride=*/1);
 }
 
 /// Shared setup of the exact enumeration: k, the Bertrand prime p2 and

@@ -17,7 +17,9 @@ namespace rstlab::fingerprint {
 /// Sieving is O(k log log k) time and k bits of memory, so it is only
 /// attempted up to `sieve_limit`; above that the pool transparently
 /// falls back to the rejection sampler (Sample still works, primes() is
-/// empty). The fingerprint benches all sit far below the default limit.
+/// empty). E2's shapes (m <= 32, n = 24, k <= 1.6e7) and the exact
+/// enumeration sieve; the benchmark's Claim 1 shape (m = 4096, n = 32,
+/// k ~ 9e13) is far above the default limit and samples by rejection.
 class PrimePool {
  public:
   /// A pool over the primes <= k. Requires k >= 2.

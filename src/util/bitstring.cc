@@ -90,12 +90,28 @@ std::uint64_t BitString::TopBits(std::size_t count) const {
 
 std::uint64_t BitString::ModUint64(std::uint64_t modulus) const {
   assert(modulus > 0);
-  // Horner evaluation: residue <- (2*residue + bit) mod p, one pass.
-  unsigned __int128 residue = 0;
-  for (std::size_t i = 0; i < size_; ++i) {
-    residue = (residue * 2 + (bit(i) ? 1 : 0)) % modulus;
+  // Horner evaluation in base 2^64: residue <- (residue * 2^64 + word)
+  // mod p, one division per packed word. residue < p keeps every
+  // dividend below p * 2^64, and a zero residue (always the case at the
+  // first word) needs only a 64-bit division.
+  const auto step = [modulus](std::uint64_t residue, std::uint64_t word,
+                              unsigned width) -> std::uint64_t {
+    if (residue == 0) return word % modulus;
+    const unsigned __int128 dividend =
+        (static_cast<unsigned __int128>(residue) << width) | word;
+    return static_cast<std::uint64_t>(dividend % modulus);
+  };
+  const std::size_t full_words = size_ / 64;
+  std::uint64_t residue = 0;
+  for (std::size_t w = 0; w < full_words; ++w) {
+    residue = step(residue, words_[w], 64);
   }
-  return static_cast<std::uint64_t>(residue);
+  // The last word holds the size_ % 64 trailing bits at its top.
+  const unsigned tail = static_cast<unsigned>(size_ % 64);
+  if (tail != 0) {
+    residue = step(residue, words_[full_words] >> (64 - tail), tail);
+  }
+  return residue;
 }
 
 std::strong_ordering BitString::operator<=>(const BitString& other) const {

@@ -62,9 +62,10 @@ class BitString {
   std::uint64_t TopBits(std::size_t count) const;
 
   /// The value of this string modulo `modulus`, computed by one
-  /// sequential left-to-right scan of the bits keeping only an
-  /// O(log modulus)-bit residue — exactly the internal-memory-friendly
-  /// evaluation used in Theorem 8(a), step (5).
+  /// sequential left-to-right pass keeping only an O(log modulus)-bit
+  /// residue — the internal-memory-friendly evaluation of Theorem 8(a),
+  /// step (5). The pass consumes the packed bits 64 at a time (Horner
+  /// in base 2^64), so it costs ceil(size() / 64) divisions.
   std::uint64_t ModUint64(std::uint64_t modulus) const;
 
   /// Lexicographic (== numeric, for equal lengths) three-way comparison.

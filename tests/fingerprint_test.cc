@@ -9,6 +9,7 @@
 #include "extmem/counting_storage.h"
 #include "extmem/storage.h"
 #include "fingerprint/barrett.h"
+#include "fingerprint/collision.h"
 #include "fingerprint/fingerprint.h"
 #include "fingerprint/prime.h"
 #include "fingerprint/prime_pool.h"
@@ -582,6 +583,55 @@ TEST(Claim1Test, CollisionRateSmall) {
   const double rate = EstimateClaim1CollisionRate(inst, 100, rng);
   // Claim 1: O(1/m); with m = 16 and the large k, collisions are rare.
   EXPECT_LE(rate, 0.25);
+}
+
+/// The Claim 1 event by definition: some pair of unequal values with
+/// equal residues.
+bool BruteForceCollision(const problems::Instance& inst, std::uint64_t p) {
+  for (const BitString& v : inst.first) {
+    for (const BitString& w : inst.second) {
+      if (v != w && v.ModUint64(p) == w.ModUint64(p)) return true;
+    }
+  }
+  return false;
+}
+
+TEST(Claim1Test, CollisionTableMatchesPairwiseDefinition) {
+  // Tiny primes force shared residues, duplicate second-list values
+  // and distinct values sharing a residue; one table is reused across
+  // lists of changing sizes and read at strides 1 and 3.
+  Rng rng(41);
+  ResidueCollisionTable table;
+  for (int round = 0; round < 300; ++round) {
+    problems::Instance inst;
+    const std::size_t m1 = rng.UniformBelow(7);
+    const std::size_t m2 = rng.UniformBelow(7);
+    for (std::size_t i = 0; i < m1; ++i) {
+      inst.first.push_back(BitString::Random(4, rng));
+    }
+    for (std::size_t j = 0; j < m2; ++j) {
+      inst.second.push_back(j > 0 && rng.UniformBelow(3) == 0
+                                ? inst.second[j - 1]
+                                : BitString::Random(4, rng));
+    }
+    for (const std::uint64_t p : {2u, 3u, 5u, 7u, 17u}) {
+      const bool expected = BruteForceCollision(inst, p);
+      for (const std::size_t stride : {1u, 3u}) {
+        std::vector<std::uint64_t> first(m1 * stride, 0);
+        std::vector<std::uint64_t> second(m2 * stride, 0);
+        for (std::size_t i = 0; i < m1; ++i) {
+          first[i * stride] = inst.first[i].ModUint64(p);
+        }
+        for (std::size_t j = 0; j < m2; ++j) {
+          second[j * stride] = inst.second[j].ModUint64(p);
+        }
+        EXPECT_EQ(table.HasCollision(inst.first, first.data(), inst.second,
+                                     second.data(), stride),
+                  expected)
+            << "round=" << round << " p=" << p << " stride=" << stride;
+      }
+    }
+  }
 }
 
 TEST(Claim1Test, ZeroTrialsIsZero) {

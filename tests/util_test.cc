@@ -285,6 +285,41 @@ TEST(BitStringTest, ModOfLongString) {
   EXPECT_EQ(ones.ModUint64(2), 1u);
 }
 
+/// The definition ModUint64 must agree with: Horner over single bits,
+/// residue <- (2 * residue + bit) mod p, in 128-bit arithmetic.
+std::uint64_t BitSerialMod(const BitString& s, std::uint64_t modulus) {
+  unsigned __int128 residue = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    residue = (residue * 2 + (s.bit(i) ? 1 : 0)) % modulus;
+  }
+  return static_cast<std::uint64_t>(residue);
+}
+
+TEST(BitStringTest, ModMatchesBitSerialReference) {
+  const std::uint64_t moduli[] = {2,
+                                  3,
+                                  (std::uint64_t{1} << 31) - 1,
+                                  (std::uint64_t{1} << 31) + 11,
+                                  (std::uint64_t{1} << 62) - 57,
+                                  (std::uint64_t{1} << 62) + 135,
+                                  ~std::uint64_t{0} - 58};  // 2^64 - 59
+  Rng rng(0x30D);
+  for (const std::size_t len : {1u, 31u, 63u, 64u, 65u, 127u, 128u, 129u,
+                                200u}) {
+    std::vector<BitString> strings;
+    for (int r = 0; r < 4; ++r) strings.push_back(BitString::Random(len, rng));
+    BitString ones(len);
+    for (std::size_t i = 0; i < len; ++i) ones.set_bit(i, true);
+    strings.push_back(ones);
+    for (const BitString& s : strings) {
+      for (const std::uint64_t p : moduli) {
+        EXPECT_EQ(s.ModUint64(p), BitSerialMod(s, p))
+            << "len=" << len << " p=" << p << " s=" << s.ToString();
+      }
+    }
+  }
+}
+
 TEST(BitStringTest, RandomHasCleanTail) {
   Rng rng(31);
   for (std::size_t len : {1u, 63u, 64u, 65u, 100u, 130u}) {
