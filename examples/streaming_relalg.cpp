@@ -1,6 +1,7 @@
 // Streaming relational algebra (Theorem 11): evaluate queries on a
 // tuple stream with sorts and scans only, and watch the symmetric
-// difference query decide SET-EQUALITY.
+// difference query decide SET-EQUALITY. Exits 1 if a streamed result
+// differs from the in-memory evaluator's.
 //
 //   build/examples/streaming_relalg [tuples]
 
@@ -15,22 +16,27 @@ namespace {
 using rstlab::query::Rel;
 using rstlab::query::Relation;
 
-void ShowQuery(const char* label, const rstlab::query::RelAlgExprPtr& q,
+/// Streams `q` over the database on the query engine, prints the result
+/// size with the query's bill, and returns whether it matches the
+/// in-memory evaluator.
+bool ShowQuery(const char* label, const rstlab::query::RelAlgExprPtr& q,
                const std::map<std::string, Relation>& db) {
-  rstlab::stmodel::StContext ctx(rstlab::query::kRelAlgTapes);
+  rstlab::stmodel::StContext ctx(1);
   ctx.LoadInput(rstlab::query::EncodeDatabaseStream(db));
-  auto streamed = rstlab::query::EvaluateOnTapes(q, ctx);
+  auto run = rstlab::query::engine::ExecuteSharedScan(ctx, {{q, ""}}, {});
   auto reference = rstlab::query::EvaluateInMemory(q, db);
-  if (!streamed.ok() || !reference.ok()) {
+  if (!run.ok() || !run.value()[0].status.ok() || !reference.ok()) {
     std::cerr << label << ": evaluation failed\n";
-    return;
+    return false;
   }
-  std::cout << "  " << label << ": " << streamed.value().tuples.size()
-            << " tuples   [" << ctx.Report().ToString() << "]  "
-            << (streamed.value() == reference.value()
-                    ? "(matches in-memory evaluator)"
-                    : "(MISMATCH!)")
+  const auto& streamed = run.value()[0];
+  const bool matches = streamed.result == reference.value();
+  std::cout << "  " << label << ": " << streamed.result.tuples.size()
+            << " tuples   [input pass " << ctx.Report().ToString()
+            << "; query " << streamed.cost.ToString() << "]  "
+            << (matches ? "(matches in-memory evaluator)" : "(MISMATCH!)")
             << "\n";
+  return matches;
 }
 
 }  // namespace
@@ -65,19 +71,23 @@ int main(int argc, char** argv) {
   using rstlab::query::Project;
   using rstlab::query::Union;
 
-  ShowQuery("R1 - R2            ", Difference(Rel("R1"), Rel("R2")), db);
-  ShowQuery("R2 - R1            ", Difference(Rel("R2"), Rel("R1")), db);
-  ShowQuery("R1 ∩ R2            ", Intersection(Rel("R1"), Rel("R2")), db);
-  ShowQuery("R1 ∪ R2            ", Union(Rel("R1"), Rel("R2")), db);
-  ShowQuery("(R1-R2) ∪ (R2-R1)  ",
-            rstlab::query::SymmetricDifferenceQuery(), db);
+  bool ok = true;
+  ok &= ShowQuery("R1 - R2            ", Difference(Rel("R1"), Rel("R2")),
+                  db);
+  ok &= ShowQuery("R2 - R1            ", Difference(Rel("R2"), Rel("R1")),
+                  db);
+  ok &= ShowQuery("R1 ∩ R2            ",
+                  Intersection(Rel("R1"), Rel("R2")), db);
+  ok &= ShowQuery("R1 ∪ R2            ", Union(Rel("R1"), Rel("R2")), db);
+  ok &= ShowQuery("(R1-R2) ∪ (R2-R1)  ",
+                  rstlab::query::SymmetricDifferenceQuery(), db);
 
   std::cout << "\nNow make R2 a copy of R1 — the symmetric difference "
                "empties out,\nwhich is how Theorem 11(b) reduces "
                "SET-EQUALITY to query evaluation:\n\n";
   db["R2"] = db["R1"];
   db["R2"].name = "R2";
-  ShowQuery("(R1-R2) ∪ (R2-R1)  ",
-            rstlab::query::SymmetricDifferenceQuery(), db);
-  return 0;
+  ok &= ShowQuery("(R1-R2) ∪ (R2-R1)  ",
+                  rstlab::query::SymmetricDifferenceQuery(), db);
+  return ok ? 0 : 1;
 }

@@ -284,10 +284,16 @@ Result<FingerprintOutcome> TestMultisetEqualityOnTapes(
       if (in_field) finalize_field();
       in_field = true;  // a '#' opens the field to its left
     } else {
-      residue = (residue.get() +
-                 (c == '1' ? power.get() : 0) % reg_p1.get()) %
-                reg_p1.get();
-      power = MulMod(power.get(), 2, reg_p1.get());
+      // Doubling by addition with a conditional subtract: residue and
+      // power stay below p1 <= k <= 2^62 / 6 (ComputeFingerprintK), so
+      // neither sum overflows or escapes its register once reduced.
+      std::uint64_t next_residue =
+          residue.get() + (c == '1' ? power.get() : 0);
+      if (next_residue >= reg_p1.get()) next_residue -= reg_p1.get();
+      residue = next_residue;
+      std::uint64_t next_power = power.get() + power.get();
+      if (next_power >= reg_p1.get()) next_power -= reg_p1.get();
+      power = next_power;
     }
   }
   if (in_field) finalize_field();

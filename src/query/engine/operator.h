@@ -17,8 +17,8 @@
 namespace rstlab::query::engine {
 
 /// One pull of tuples from a stream operator: a batch of encoded tuple
-/// payloads ("v1,v2,..." — the stack-tape field encoding of the
-/// Theorem 11 evaluator) plus an end-of-stream marker. A batch may be
+/// payloads ("v1,v2,..." — `EncodeTuple`'s field encoding of the
+/// Theorem 11 tuple stream) plus an end-of-stream marker. A batch may be
 /// empty only when `at_end` is set.
 struct TupleBatch {
   std::vector<std::string> tuples;

@@ -13,10 +13,9 @@ namespace rstlab::query::engine {
 
 /// The concrete operators. Each factory takes ownership of its children
 /// and returns a single-use operator; `env` pointees must outlive the
-/// pipeline. Semantics mirror the Theorem 11 streaming evaluator
-/// (`EvaluateOnTapes`): duplicates may flow between operators, the
-/// sorting operators collapse them, and the final materialization
-/// de-duplicates — set semantics end to end.
+/// pipeline. Set semantics end to end, as in the Theorem 11 evaluator:
+/// duplicates may flow between operators, the sorting operators
+/// collapse them, and the final materialization de-duplicates.
 
 /// Leaf: streams one spool lane in lane order. `lane` may be nullptr
 /// (empty relation). Bills 2 reversals per pass (scan + rewind).
@@ -29,7 +28,7 @@ StreamOperatorPtr MakeFilter(StreamOperatorPtr child, std::size_t lhs,
                              std::string rhs_constant, OperatorEnv env);
 
 /// π without de-duplication: per-tuple column remap ("" for missing
-/// columns, like the reference evaluator). Compose with MakeSort(dedup)
+/// columns, like `EvaluateInMemory`). Compose with MakeSort(dedup)
 /// for the full projection operator.
 StreamOperatorPtr MakeProjectMap(StreamOperatorPtr child,
                                  std::vector<std::size_t> columns,

@@ -15,8 +15,9 @@ namespace rstlab::query::engine {
 /// Plan compiler knobs.
 struct PlanOptions {
   /// Rewrite σ_{col=col}(A × B) chains with cross-side conditions into
-  /// sort-based merge joins (the engine's join operator). Off = keep
-  /// the doubling-product shape of the reference evaluator.
+  /// sort-based merge joins (the engine's join operator). Off = run
+  /// them as the Theorem 11 doubling product followed by the
+  /// selections.
   bool merge_join = true;
 };
 

@@ -109,10 +109,9 @@ Result<std::unique_ptr<RelationSpool>> RelationSpool::BuildFromXml(
   tape::Tape& input = ctx.tape(0);
   stmodel::Rewind(input);
 
-  // The child-axis walk of the Section 4 schema, as a state machine
-  // over the tokenizer's events — the same validation as
-  // ExtractSetValues, but demultiplexing into spool lanes instead of
-  // context tapes so many queries can share the one parse.
+  // The walk of the Section 4 schema, as a state machine over the
+  // tokenizer's events, demultiplexing into spool lanes so many queries
+  // can share the one parse.
   XmlEventReader reader(input, ctx.arena());
   std::map<std::string, std::string> pending;
   int current_set = 0;

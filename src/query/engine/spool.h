@@ -56,7 +56,9 @@ class RelationSpool {
   /// streaming `XmlEventReader`, spools the string values below set1
   /// and set2 as two single-column relations named "set1" and "set2" —
   /// one forward scan, one read per input cell. Fails on documents not
-  /// of the Section 4 shape (same diagnostics as `ExtractSetValues`).
+  /// of the Section 4 shape: a <string> outside set1/set2, a stray
+  /// </string>, non-blank text outside <string>, or a document that
+  /// ends mid-element.
   static Result<std::unique_ptr<RelationSpool>> BuildFromXml(
       stmodel::StContext& ctx);
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "query/relation.h"
-#include "stmodel/st_context.h"
 #include "util/status.h"
 
 namespace rstlab::query {
@@ -67,34 +66,19 @@ RelAlgExprPtr EquiJoin(
 RelAlgExprPtr SymmetricDifferenceQuery(std::string r1 = "R1",
                                        std::string r2 = "R2");
 
-/// Reference evaluator over in-memory relations.
+/// Reference evaluator over in-memory relations — the oracle the
+/// engine's results are checked against in tests, benchmarks and the
+/// `query-engine` conform suite.
 Result<Relation> EvaluateInMemory(
     const RelAlgExprPtr& expr,
     const std::map<std::string, Relation>& database);
 
-/// Number of external tapes the streaming evaluator needs.
-inline constexpr std::size_t kRelAlgTapes = 6;
-
 /// Encodes a database as the input tuple stream of Theorem 11: one
-/// '#'-terminated field "name,v1,v2,..." per tuple.
+/// '#'-terminated field "name,v1,v2,..." per tuple. The streaming
+/// evaluator over this stream — the upper-bound side of Theorem 11(a) —
+/// is `engine::ExecuteSharedScan` (query/engine/shared_scan.h).
 std::string EncodeDatabaseStream(
     const std::map<std::string, Relation>& database);
-
-/// The streaming evaluator — the upper-bound side of Theorem 11(a).
-///
-/// Evaluates `expr` over the tuple stream loaded on tape 0 of `ctx`
-/// using only sequential scans and external merge sorts: leaves filter
-/// the stream, set operations sort-and-merge, projections sort to
-/// de-duplicate, and products replicate the inner operand by repeated
-/// doubling (O(log N) scans) before a single pairing pass. The measured
-/// resource profile is r(N) = c_Q * log N scans on a constant number of
-/// tapes. Internal memory is dominated by the k-way sort's record
-/// buffers (`sorting::SortForDecider` at the process sort config):
-/// O(max tuple bytes + log N) at `sorting::PaperSortConfig()`.
-///
-/// Returns the query result (also left as the final stack segment).
-Result<Relation> EvaluateOnTapes(const RelAlgExprPtr& expr,
-                                 stmodel::StContext& ctx);
 
 }  // namespace rstlab::query
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "tape/tape.h"
 #include "util/status.h"
 
 namespace rstlab::query {
@@ -37,16 +36,6 @@ struct Relation {
 std::string EncodeTuple(const Tuple& tuple);
 /// Parses a tape field back into a tuple.
 Tuple DecodeTuple(const std::string& field);
-
-/// Writes a relation's tuples onto `t` as consecutive '#'-terminated
-/// fields, in storage order — the "stream consisting of the tuples of
-/// the input database relations" of Theorem 11.
-void WriteRelationToTape(const Relation& relation, tape::Tape& t);
-
-/// Reads `count` tuple fields from `t` (or all until blank when count is
-/// SIZE_MAX) into a relation of the given name.
-Relation ReadRelationFromTape(tape::Tape& t, std::string name,
-                              std::size_t count);
 
 }  // namespace rstlab::query
 

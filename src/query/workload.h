@@ -73,8 +73,8 @@ struct XmlWorkloadSpec {
 
 /// One generated XML instance.
 struct XmlWorkload {
-  /// The document text (tape content for EvaluatePaperXQueryOnTapes,
-  /// FilterPaperXPathOnTapes or RelationSpool::BuildFromXml).
+  /// The document text (tape-0 content for RelationSpool::BuildFromXml,
+  /// i.e. ExecuteSharedScan with `xml` set).
   std::string document;
   std::size_t set1_count = 0;
   std::size_t set2_count = 0;

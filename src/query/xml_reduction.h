@@ -4,9 +4,21 @@
 #include <functional>
 
 #include "problems/instance.h"
+#include "stmodel/st_context.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace rstlab::query {
+
+/// The encoding direction of Section 4: "the XML document can be
+/// produced by using a constant number of sequential scans, constant
+/// internal memory space, and two external memory tapes". Reads the
+/// encoded instance from tape 0 of `ctx` and writes the serialized
+/// document onto tape 1 in two scans (one to find the halfway point,
+/// one to emit), with O(log N) internal bits (one field counter — the
+/// paper's "constant" treats counters as free; ours are metered). The
+/// output equals `SerializeXml(*EncodeSetInstanceAsXml(instance))`.
+Status EncodeInstanceAsXmlOnTapes(stmodel::StContext& ctx);
 
 /// A (possibly randomized) XPath filter oracle for the Theorem 13
 /// argument: called on an encoded instance (X, Y), it must

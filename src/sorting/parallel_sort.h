@@ -71,7 +71,7 @@ Status ParallelSortFieldsOnTape(stmodel::StContext& ctx, std::size_t src,
                                 const SortConfig& config,
                                 SortStats* stats = nullptr);
 
-/// The sort the decision procedures and tape evaluators use:
+/// The sort the decision procedures use:
 /// `ParallelSortFieldsOnTape(ctx, src, DefaultSortConfig(), stats)`.
 /// `aux1` and `aux2` are unused: the sort spills to its own lanes, not
 /// to tapes of `ctx`.

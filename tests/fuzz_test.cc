@@ -10,7 +10,7 @@
 #include "fingerprint/fingerprint.h"
 #include "problems/instance.h"
 #include "problems/reference.h"
-#include "query/streaming_xml.h"
+#include "query/engine/spool.h"
 #include "query/xml.h"
 #include "sorting/deciders.h"
 #include "sorting/parallel_sort.h"
@@ -167,10 +167,10 @@ TEST_P(FuzzTest, StreamingXmlExtractorNeverCrashes) {
   for (int trial = 0; trial < Trials(200); ++trial) {
     const std::string text =
         RandomBytes(rng, 96, "01<>/seting12m ");
-    stmodel::StContext ctx(query::kStreamingXmlTapes);
+    stmodel::StContext ctx(1);
     ctx.LoadInput(text);
-    Status status = query::ExtractSetValues(ctx, 1, 2, nullptr, nullptr);
-    (void)status;  // any status is fine; no crash, no hang
+    auto spool = query::engine::RelationSpool::BuildFromXml(ctx);
+    (void)spool;  // any status is fine; no crash, no hang
   }
 }
 

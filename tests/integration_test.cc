@@ -60,12 +60,13 @@ TEST_P(FullPipelineTest, AllDecidersAgreeOnCheckPhiInstances) {
     db["R2"].name = "R2";
     for (const auto& v : inst.first) db["R1"].Insert({v.ToString()});
     for (const auto& v : inst.second) db["R2"].Insert({v.ToString()});
-    stmodel::StContext qctx(query::kRelAlgTapes);
+    stmodel::StContext qctx(1);
     qctx.LoadInput(query::EncodeDatabaseStream(db));
-    Result<query::Relation> result =
-        query::EvaluateOnTapes(query::SymmetricDifferenceQuery(), qctx);
+    auto result = query::engine::ExecuteSharedScan(
+        qctx, {{query::SymmetricDifferenceQuery(), ""}}, {});
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.value().tuples.empty(), yes);
+    ASSERT_TRUE(result.value()[0].status.ok());
+    EXPECT_EQ(result.value()[0].result.tuples.empty(), yes);
 
     // XML evaluators.
     query::XmlDocument doc = query::EncodeSetInstanceAsXml(inst);

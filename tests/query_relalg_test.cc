@@ -5,6 +5,7 @@
 
 #include "problems/generators.h"
 #include "problems/reference.h"
+#include "query/engine/shared_scan.h"
 #include "query/relalg.h"
 #include "query/relation.h"
 #include "sorting/sort_config.h"
@@ -59,16 +60,24 @@ std::map<std::string, Relation> RandomDatabaseWide(Rng& rng,
   return db;
 }
 
-Result<Relation> EvalBoth(const RelAlgExprPtr& expr,
-                          const std::map<std::string, Relation>& db,
-                          Relation* streamed_out) {
-  stmodel::StContext ctx(kRelAlgTapes);
+/// Evaluates `expr` over the database's Theorem 11 tuple stream on the
+/// streaming engine. `scans`, when set, receives the whole scan bill:
+/// the shared input pass plus the query's own passes.
+Result<Relation> EvaluateStreaming(
+    const RelAlgExprPtr& expr, const std::map<std::string, Relation>& db,
+    const engine::SharedScanOptions& options = {},
+    std::uint64_t* scans = nullptr) {
+  stmodel::StContext ctx(1);
   ctx.LoadInput(EncodeDatabaseStream(db));
-  Result<Relation> streamed = EvaluateOnTapes(expr, ctx);
-  if (streamed.ok() && streamed_out != nullptr) {
-    *streamed_out = streamed.value();
+  Result<std::vector<engine::QueryOutcome>> run =
+      engine::ExecuteSharedScan(ctx, {{expr, ""}}, options);
+  if (!run.ok()) return run.status();
+  const engine::QueryOutcome& outcome = run.value()[0];
+  if (!outcome.status.ok()) return outcome.status;
+  if (scans != nullptr) {
+    *scans = ctx.Report().scan_bound + outcome.cost.scan_bound;
   }
-  return EvaluateInMemory(expr, db);
+  return outcome.result;
 }
 
 // ---------------------------------------------------------------------
@@ -91,15 +100,6 @@ TEST(RelationTest, EqualityIsSetwise) {
   Relation a = MakeRelation("A", {{"0"}, {"1"}});
   Relation b = MakeRelation("B", {{"1"}, {"0"}});
   EXPECT_TRUE(a == b);
-}
-
-TEST(RelationTest, TapeRoundtrip) {
-  Relation r = MakeRelation("R", {{"01", "10"}, {"11", "00"}});
-  tape::Tape t;
-  WriteRelationToTape(r, t);
-  t.Seek(0);
-  Relation back = ReadRelationFromTape(t, "R", 2);
-  EXPECT_TRUE(back == r);
 }
 
 // ---------------------------------------------------------------------
@@ -163,7 +163,7 @@ TEST(InMemoryTest, Product) {
 }
 
 // ---------------------------------------------------------------------
-// Streaming evaluator vs in-memory evaluator
+// Streaming engine vs in-memory evaluator
 // ---------------------------------------------------------------------
 
 class StreamingAgreementTest
@@ -187,27 +187,20 @@ TEST_P(StreamingAgreementTest, AgreesOnRandomDatabases) {
             Difference(Rel("R1"), Rel("R2"))),  // == R1
   };
   for (const auto& query : queries) {
-    Relation streamed;
-    Result<Relation> reference = EvalBoth(query, db, &streamed);
+    Result<Relation> streamed = EvaluateStreaming(query, db);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    Result<Relation> reference = EvaluateInMemory(query, db);
     ASSERT_TRUE(reference.ok()) << reference.status();
-    EXPECT_TRUE(streamed == reference.value());
+    EXPECT_TRUE(streamed.value() == reference.value());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamingAgreementTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-TEST(StreamingTest, NeedsSixTapes) {
-  stmodel::StContext ctx(3);
-  ctx.LoadInput("");
-  EXPECT_FALSE(EvaluateOnTapes(Rel("R1"), ctx).ok());
-}
-
 TEST(StreamingTest, EmptyDatabase) {
-  stmodel::StContext ctx(kRelAlgTapes);
-  ctx.LoadInput("");
-  Result<Relation> out = EvaluateOnTapes(SymmetricDifferenceQuery(), ctx);
-  ASSERT_TRUE(out.ok());
+  Result<Relation> out = EvaluateStreaming(SymmetricDifferenceQuery(), {});
+  ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_TRUE(out.value().tuples.empty());
 }
 
@@ -231,10 +224,11 @@ TEST(StreamingTest, EquiJoinAgreesWithInMemory) {
   std::map<std::string, Relation> db = RandomDatabase(rng, 10, 2);
   const RelAlgExprPtr join =
       EquiJoin(Rel("R1"), Rel("R2"), 2, {{0, 0}});
-  Relation streamed;
-  Result<Relation> reference = EvalBoth(join, db, &streamed);
+  Result<Relation> reference = EvaluateInMemory(join, db);
   ASSERT_TRUE(reference.ok());
-  EXPECT_TRUE(streamed == reference.value());
+  Result<Relation> streamed = EvaluateStreaming(join, db);
+  ASSERT_TRUE(streamed.ok()) << streamed.status();
+  EXPECT_TRUE(streamed.value() == reference.value());
 }
 
 // Theorem 11(b): the symmetric-difference query decides SET-EQUALITY.
@@ -256,11 +250,8 @@ TEST_P(SymmetricDifferenceTest, EmptyResultIffSetsEqual) {
     for (const auto& v : inst.second) {
       db["R2"].Insert({v.ToString()});
     }
-    stmodel::StContext ctx(kRelAlgTapes);
-    ctx.LoadInput(EncodeDatabaseStream(db));
-    Result<Relation> out =
-        EvaluateOnTapes(SymmetricDifferenceQuery(), ctx);
-    ASSERT_TRUE(out.ok());
+    Result<Relation> out = EvaluateStreaming(SymmetricDifferenceQuery(), db);
+    ASSERT_TRUE(out.ok()) << out.status();
     EXPECT_EQ(out.value().tuples.empty(),
               problems::RefSetEquality(inst));
   }
@@ -272,18 +263,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SymmetricDifferenceTest,
 // Theorem 11(a): the streaming evaluation uses Theta(log N) scans.
 TEST(StreamingTest, ScanBoundGrowsLogarithmically) {
   // The Corollary 7 sort geometry: under the default run length every
-  // sort here fits one formation run and the scan count is flat.
-  const sorting::ScopedSortConfig paper(sorting::PaperSortConfig());
+  // sort here fits one formation run and the scan count is flat. The
+  // engine copies its sort config at construction, so set it there.
+  engine::SharedScanOptions options;
+  options.config.sort = sorting::PaperSortConfig();
   Rng rng(5);
   std::vector<std::uint64_t> scans;
   for (std::size_t size : {32u, 128u, 512u}) {
     // 20-bit values so the requested sizes are actually realized
     // (4-bit values would cap a set-semantics relation at 16 tuples).
     std::map<std::string, Relation> db = RandomDatabaseWide(rng, size);
-    stmodel::StContext ctx(kRelAlgTapes);
-    ctx.LoadInput(EncodeDatabaseStream(db));
-    ASSERT_TRUE(EvaluateOnTapes(SymmetricDifferenceQuery(), ctx).ok());
-    scans.push_back(ctx.Report().scan_bound);
+    std::uint64_t bill = 0;
+    ASSERT_TRUE(
+        EvaluateStreaming(SymmetricDifferenceQuery(), db, options, &bill)
+            .ok());
+    scans.push_back(bill);
   }
   // Quadrupling the data adds a constant number of scans (the query
   // performs a constant number of merge sorts, each gaining two passes

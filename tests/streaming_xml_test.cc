@@ -1,14 +1,21 @@
+// The upper-bound side of Theorems 12/13 on the streaming query engine:
+// one forward pass spools a Section 4 document's set1/set2 values into
+// lanes (RelationSpool::BuildFromXml), and the paper's two XML queries
+// run as set-operation plans over them. The DOM evaluators are the
+// oracles.
+
 #include <gtest/gtest.h>
 
 #include "problems/generators.h"
 #include "problems/reference.h"
-#include "query/streaming_xml.h"
+#include "query/engine/shared_scan.h"
+#include "query/engine/spool.h"
+#include "query/relalg.h"
 #include "query/xml.h"
 #include "query/xml_reduction.h"
-#include "query/xpath.h"
+#include "query/xquery.h"
 #include "sorting/sort_config.h"
 #include "stmodel/st_context.h"
-#include "stmodel/tape_io.h"
 #include "util/random.h"
 
 namespace rstlab::query {
@@ -18,42 +25,95 @@ std::string EncodeAsDocument(const problems::Instance& inst) {
   return SerializeXml(*EncodeSetInstanceAsXml(inst));
 }
 
-TEST(ExtractSetValuesTest, SpoolsValuesInOrder) {
+/// Figure 1's XPath query selects a node iff set1 − set2 is nonempty.
+RelAlgExprPtr XPathPlan() { return Difference(Rel("set1"), Rel("set2")); }
+
+/// The Theorem 12 XQuery query returns <true/> iff the symmetric
+/// difference of set1 and set2 is empty.
+RelAlgExprPtr XQueryPlan() {
+  return SymmetricDifferenceQuery("set1", "set2");
+}
+
+/// Evaluates `plan` over `document` on the engine. `scans`, when set,
+/// receives the whole scan bill: the shared parse plus the query.
+Result<Relation> RunOnDocument(const std::string& document,
+                               const RelAlgExprPtr& plan,
+                               engine::SharedScanOptions options = {},
+                               std::uint64_t* scans = nullptr) {
+  options.xml = true;
+  stmodel::StContext ctx(1);
+  ctx.LoadInput(document);
+  Result<std::vector<engine::QueryOutcome>> run =
+      engine::ExecuteSharedScan(ctx, {{plan, ""}}, options);
+  if (!run.ok()) return run.status();
+  const engine::QueryOutcome& outcome = run.value()[0];
+  if (!outcome.status.ok()) return outcome.status;
+  if (scans != nullptr) {
+    *scans = ctx.Report().scan_bound + outcome.cost.scan_bound;
+  }
+  return outcome.result;
+}
+
+bool XPathSelects(const std::string& document) {
+  Result<Relation> out = RunOnDocument(document, XPathPlan());
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() && !out.value().tuples.empty();
+}
+
+bool XQueryTrue(const std::string& document) {
+  Result<Relation> out = RunOnDocument(document, XQueryPlan());
+  EXPECT_TRUE(out.ok()) << out.status();
+  return out.ok() && out.value().tuples.empty();
+}
+
+// ---------------------------------------------------------------------
+// The shared first pass
+// ---------------------------------------------------------------------
+
+TEST(BuildFromXmlTest, SpoolsValuesInOrder) {
   problems::Instance inst;
   inst.first = {BitString::FromString("01"), BitString::FromString("10")};
   inst.second = {BitString::FromString("11")};
-  stmodel::StContext ctx(kStreamingXmlTapes);
+  stmodel::StContext ctx(1);
   ctx.LoadInput(EncodeAsDocument(inst));
-  std::size_t count_x = 0;
-  std::size_t count_y = 0;
-  ASSERT_TRUE(ExtractSetValues(ctx, 1, 2, &count_x, &count_y).ok());
-  EXPECT_EQ(count_x, 2u);
-  EXPECT_EQ(count_y, 1u);
-  ctx.tape(1).Seek(0);
-  EXPECT_EQ(stmodel::ReadField(ctx.tape(1)), "01");
-  EXPECT_EQ(stmodel::ReadField(ctx.tape(1)), "10");
-  ctx.tape(2).Seek(0);
-  EXPECT_EQ(stmodel::ReadField(ctx.tape(2)), "11");
+  auto spool = engine::RelationSpool::BuildFromXml(ctx);
+  ASSERT_TRUE(spool.ok()) << spool.status();
+  EXPECT_EQ(spool.value()->names(),
+            (std::vector<std::string>{"set1", "set2"}));
+
+  engine::SpoolCursor x(spool.value()->lane("set1"));
+  EXPECT_EQ(x.NextField(), "01");
+  EXPECT_EQ(x.NextField(), "10");
+  EXPECT_EQ(x.NextField(), std::nullopt);
+  engine::SpoolCursor y(spool.value()->lane("set2"));
+  EXPECT_EQ(y.NextField(), "11");
+  EXPECT_EQ(y.NextField(), std::nullopt);
 }
 
-TEST(ExtractSetValuesTest, SingleForwardScanOfTheDocument) {
+TEST(BuildFromXmlTest, SingleForwardScanOfTheDocument) {
   Rng rng(5);
   problems::Instance inst = problems::EqualSets(16, 8, rng);
-  stmodel::StContext ctx(kStreamingXmlTapes);
+  stmodel::StContext ctx(1);
   ctx.LoadInput(EncodeAsDocument(inst));
-  ASSERT_TRUE(ExtractSetValues(ctx, 1, 2, nullptr, nullptr).ok());
+  ASSERT_TRUE(engine::RelationSpool::BuildFromXml(ctx).ok());
   EXPECT_EQ(ctx.tape(0).reversals(), 0u);  // one forward pass
 }
 
-TEST(ExtractSetValuesTest, RejectsMalformedDocuments) {
-  stmodel::StContext ctx(kStreamingXmlTapes);
-  ctx.LoadInput("<instance><set1><item><string>01</string>");
-  EXPECT_FALSE(ExtractSetValues(ctx, 1, 2, nullptr, nullptr).ok());
-  ctx.LoadInput("<instance>junk</instance>");
-  EXPECT_FALSE(ExtractSetValues(ctx, 1, 2, nullptr, nullptr).ok());
-  ctx.LoadInput("<instance><string>01</string></instance>");
-  EXPECT_FALSE(ExtractSetValues(ctx, 1, 2, nullptr, nullptr).ok());
+TEST(BuildFromXmlTest, RejectsMalformedDocuments) {
+  for (const char* document :
+       {"<instance><set1><item><string>01</string>",
+        "<instance>junk</instance>",
+        "<instance><string>01</string></instance>"}) {
+    stmodel::StContext ctx(1);
+    ctx.LoadInput(document);
+    EXPECT_FALSE(engine::RelationSpool::BuildFromXml(ctx).ok())
+        << document;
+  }
 }
+
+// ---------------------------------------------------------------------
+// Engine verdicts vs the DOM evaluators
+// ---------------------------------------------------------------------
 
 class StreamingXmlAgreementTest
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -64,11 +124,8 @@ TEST_P(StreamingXmlAgreementTest, FilterAgreesWithDomEvaluator) {
     problems::Instance inst =
         trial % 2 == 0 ? problems::EqualSets(8, 8, rng)
                        : problems::PerturbedMultisets(8, 8, 1, rng);
-    stmodel::StContext ctx(kStreamingXmlTapes);
-    ctx.LoadInput(EncodeAsDocument(inst));
-    Result<bool> streamed = FilterPaperXPathOnTapes(ctx);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
-    EXPECT_EQ(streamed.value(), PaperXPathSelects(inst));
+    EXPECT_EQ(XPathSelects(EncodeAsDocument(inst)),
+              PaperXPathSelects(inst));
   }
 }
 
@@ -78,11 +135,11 @@ TEST_P(StreamingXmlAgreementTest, XQueryAgreesWithDomEvaluator) {
     problems::Instance inst =
         trial % 2 == 0 ? problems::EqualSets(8, 8, rng)
                        : problems::PerturbedMultisets(8, 8, 1, rng);
-    stmodel::StContext ctx(kStreamingXmlTapes);
-    ctx.LoadInput(EncodeAsDocument(inst));
-    Result<bool> streamed = EvaluatePaperXQueryOnTapes(ctx);
-    ASSERT_TRUE(streamed.ok()) << streamed.status();
-    EXPECT_EQ(streamed.value(), problems::RefSetEquality(inst));
+    const bool streamed = XQueryTrue(EncodeAsDocument(inst));
+    EXPECT_EQ(streamed, problems::RefSetEquality(inst));
+    EXPECT_EQ(streamed, EvaluatePaperXQueryToString(
+                            *EncodeSetInstanceAsXml(inst)) ==
+                            "<result><true></true></result>");
   }
 }
 
@@ -97,27 +154,26 @@ TEST(StreamingXmlTest, MultisetsWithEqualSetsAccepted) {
   inst.second = {BitString::FromString("10"),
                  BitString::FromString("01"),
                  BitString::FromString("10")};
-  stmodel::StContext ctx(kStreamingXmlTapes);
-  ctx.LoadInput(EncodeAsDocument(inst));
-  Result<bool> streamed = EvaluatePaperXQueryOnTapes(ctx);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_TRUE(streamed.value());
+  EXPECT_TRUE(XQueryTrue(EncodeAsDocument(inst)));
 }
 
 TEST(StreamingXmlTest, ScanBoundGrowsLogarithmically) {
   // The upper-bound complement to Theorem 13's lower bound: with
   // external tapes, filtering takes Theta(log N) scans.
   // The Corollary 7 sort geometry: under the default run length every
-  // sort here fits one formation run and the scan count is flat.
-  const sorting::ScopedSortConfig paper(sorting::PaperSortConfig());
+  // sort here fits one formation run and the scan count is flat. The
+  // engine copies its sort config at construction, so set it there.
+  engine::SharedScanOptions options;
+  options.config.sort = sorting::PaperSortConfig();
   Rng rng(11);
   std::vector<std::uint64_t> scans;
   for (std::size_t m : {32u, 128u, 512u}) {
     problems::Instance inst = problems::EqualSets(m, 12, rng);
-    stmodel::StContext ctx(kStreamingXmlTapes);
-    ctx.LoadInput(EncodeAsDocument(inst));
-    ASSERT_TRUE(FilterPaperXPathOnTapes(ctx).ok());
-    scans.push_back(ctx.Report().scan_bound);
+    std::uint64_t bill = 0;
+    ASSERT_TRUE(
+        RunOnDocument(EncodeAsDocument(inst), XPathPlan(), options, &bill)
+            .ok());
+    scans.push_back(bill);
   }
   EXPECT_GE(scans[1] - scans[0], 1u);  // the sorts really merge
   EXPECT_EQ(scans[1] - scans[0], scans[2] - scans[1]);
@@ -125,20 +181,14 @@ TEST(StreamingXmlTest, ScanBoundGrowsLogarithmically) {
 }
 
 TEST(StreamingXmlTest, EmptySetsAreEqualAndSubset) {
-  problems::Instance empty;
-  stmodel::StContext ctx(kStreamingXmlTapes);
-  ctx.LoadInput(EncodeAsDocument(empty));
-  Result<bool> filter = FilterPaperXPathOnTapes(ctx);
-  ASSERT_TRUE(filter.ok());
-  EXPECT_FALSE(filter.value());  // nothing to select
-
-  stmodel::StContext ctx2(kStreamingXmlTapes);
-  ctx2.LoadInput(EncodeAsDocument(empty));
-  Result<bool> query = EvaluatePaperXQueryOnTapes(ctx2);
-  ASSERT_TRUE(query.ok());
-  EXPECT_TRUE(query.value());
+  const std::string empty = EncodeAsDocument(problems::Instance{});
+  EXPECT_FALSE(XPathSelects(empty));  // nothing to select
+  EXPECT_TRUE(XQueryTrue(empty));
 }
 
+// ---------------------------------------------------------------------
+// The Section 4 encoding direction, on tapes
+// ---------------------------------------------------------------------
 
 class XmlEncoderOnTapesTest
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -163,8 +213,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, XmlEncoderOnTapesTest,
                          ::testing::Values(1, 2, 3));
 
 TEST(XmlEncoderOnTapesTest, RoundTripsThroughTheStreamingFilter) {
-  // instance -> XML (on tapes) -> XPath filter (on tapes): the full
-  // streaming pipeline of Theorem 13's setup.
+  // instance -> XML (on tapes) -> XPath filter (on the engine): the
+  // full streaming pipeline of Theorem 13's setup.
   Rng rng(5);
   problems::Instance inst = problems::PerturbedMultisets(8, 8, 1, rng);
   stmodel::StContext ectx(2);
@@ -172,11 +222,7 @@ TEST(XmlEncoderOnTapesTest, RoundTripsThroughTheStreamingFilter) {
   ASSERT_TRUE(EncodeInstanceAsXmlOnTapes(ectx).ok());
   const std::string doc = ectx.tape(1).contents().substr(
       0, EncodeAsDocument(inst).size());
-  stmodel::StContext fctx(kStreamingXmlTapes);
-  fctx.LoadInput(doc);
-  Result<bool> filtered = FilterPaperXPathOnTapes(fctx);
-  ASSERT_TRUE(filtered.ok());
-  EXPECT_EQ(filtered.value(), PaperXPathSelects(inst));
+  EXPECT_EQ(XPathSelects(doc), PaperXPathSelects(inst));
 }
 
 }  // namespace
