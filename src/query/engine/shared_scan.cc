@@ -62,18 +62,19 @@ QueryOutcome RunOne(const QueryRequest& request, const RelationSpool& spool,
         Tuple tuple = DecodeTuple(field);
         outcome.result.arity =
             std::max(outcome.result.arity, tuple.size());
-        outcome.result.Insert(tuple);
+        // Duplicates are removed once, by Normalize() after the loop.
+        outcome.result.tuples.push_back(std::move(tuple));
       }
       if (batch.at_end) break;
     }
   }
   root->Close();
   outcome.cost = meter.cost();
+  outcome.result.Normalize();
   if (!run.ok()) {
     outcome.status = run;
     return outcome;
   }
-  outcome.result.Normalize();
 
   if (options.certify) {
     outcome.status = check::CheckQueryCostsAgainstCertificate(
