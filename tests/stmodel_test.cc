@@ -113,9 +113,12 @@ TEST(StContextTest, ReportAggregates) {
 // tape_io
 // ---------------------------------------------------------------------
 
-TEST(TapeIoTest, WriteAndRewind) {
-  tape::Tape t;
-  WriteString(t, "0101#");
+TEST(TapeIoTest, ScanToEndAndRewind) {
+  // A forward scan to the end, then one move back to cell 0: exactly
+  // one direction change.
+  tape::Tape t("0101#");
+  while (!AtEnd(t)) t.MoveRight();
+  EXPECT_EQ(t.head(), 5u);
   Rewind(t);
   EXPECT_EQ(t.Read(), '0');
   EXPECT_EQ(t.reversals(), 1u);
