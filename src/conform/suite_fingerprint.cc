@@ -4,9 +4,12 @@
 // A1-A3/E1/E2 consume batches without changing a single recorded
 // number. This suite drives three differentials per case:
 //   1. engine sums/verdicts at {scalar, lanes4, lanes8} against each
-//      other and against the per-lane AcceptsWithParams reference, on
-//      narrow moduli (the 32-bit Shoup kernels) and, every fourth case,
-//      on wide ones (the exact Barrett table path);
+//      other, against the per-lane AcceptsWithParams verdict and against
+//      sums recomputed with the independent __int128 PowMod of
+//      fingerprint/prime.h (the engine and AcceptsWithParams share the
+//      Montgomery kernel, so only this last one can catch a fault in
+//      it), on narrow moduli (the 32-bit Shoup kernels) and, every
+//      fourth case, on wide ones (the exact Montgomery table path);
 //   2. the batched Claim 1 estimator on a 1-thread vs an N-thread
 //      runner (RunSeededBatches group layout must be schedule-free);
 //   3. the hardened tape tester against Instance::Parse on possibly
@@ -24,6 +27,7 @@
 #include "conform/suites.h"
 #include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
+#include "fingerprint/prime.h"
 #include "parallel/trial_runner.h"
 #include "problems/generators.h"
 #include "problems/instance.h"
@@ -85,6 +89,19 @@ std::string MutateEncoding(const std::string& encoded, int mutation,
   }
 }
 
+/// Sum_i x^(v_i mod p1) mod p2 over `values` with the __int128
+/// reference arithmetic, which shares no code with the engine.
+std::uint64_t ReferenceSum(const std::vector<BitString>& values,
+                           const fingerprint::FingerprintParams& params) {
+  std::uint64_t sum = 0;
+  for (const BitString& v : values) {
+    const std::uint64_t term =
+        fingerprint::PowMod(params.x, v.ModUint64(params.p1), params.p2);
+    sum = (sum + term) % params.p2;
+  }
+  return sum;
+}
+
 std::string RenderTally(const BatchTally& tally) {
   std::string out = "sums=[";
   for (std::size_t i = 0; i < tally.sum_first.size(); ++i) {
@@ -121,6 +138,17 @@ std::string CheckBatchCase(const BatchCase& c) {
       return "scalar engine lane " + std::to_string(lane) +
              " disagrees with AcceptsWithParams";
     }
+    const std::uint64_t first = ReferenceSum(instance.first, batch.Lane(lane));
+    const std::uint64_t second =
+        ReferenceSum(instance.second, batch.Lane(lane));
+    if (reference.sum_first[lane] != first ||
+        reference.sum_second[lane] != second) {
+      return "scalar engine lane " + std::to_string(lane) + " sums " +
+             std::to_string(reference.sum_first[lane]) + "/" +
+             std::to_string(reference.sum_second[lane]) +
+             " but the __int128 reference gives " + std::to_string(first) +
+             "/" + std::to_string(second);
+    }
   }
   const simd::SimdLevel wide_levels[] = {simd::SimdLevel::kLanes4,
                                          simd::SimdLevel::kLanes8};
@@ -145,18 +173,17 @@ std::string CheckBatchCase(const BatchCase& c) {
   parallel::TrialRunner serial_runner(1);
   parallel::TrialRunner parallel_runner(c.threads);
   const Claim1Estimate serial = fingerprint::EstimateClaim1CollisionRateBatched(
-      instance, c.claim_trials, c.workload_seed, serial_runner, c.lanes,
-      simd::SimdLevel::kLanes8);
+      instance, c.claim_trials, c.workload_seed, serial_runner, c.lanes);
   const Claim1Estimate threaded =
       fingerprint::EstimateClaim1CollisionRateBatched(
           instance, c.claim_trials, c.workload_seed, parallel_runner,
-          c.lanes, simd::SimdLevel::kScalar);
+          c.lanes);
   if (serial.collisions != threaded.collisions ||
       serial.trials != threaded.trials) {
-    return "batched Claim 1 tally: 1-thread/lanes8 " +
+    return "batched Claim 1 tally: 1-thread " +
            std::to_string(serial.collisions) + "/" +
            std::to_string(serial.trials) + " vs " +
-           std::to_string(c.threads) + "-thread/scalar " +
+           std::to_string(c.threads) + "-thread " +
            std::to_string(threaded.collisions) + "/" +
            std::to_string(threaded.trials);
   }

@@ -103,24 +103,6 @@ void EvalValueGroup4Wrapper(const std::uint8_t* bits, std::size_t nbits,
                simd::CondSub(simd::Add(simd::Load2(sums + 2), a1), q1));
 }
 
-/// Residue-only flavour for BatchResidues: e[lane] = v mod p1[lane]
-/// over one 4-lane group.
-void ResidueGroup4Wrapper(const std::uint8_t* bits, std::size_t nbits,
-                          const std::uint64_t* p1, std::uint64_t* out) {
-  using simd::U64x2;
-  const U64x2 m0 = simd::Load2(p1);
-  const U64x2 m1 = simd::Load2(p1 + 2);
-  U64x2 r0 = simd::Dup(0);
-  U64x2 r1 = simd::Dup(0);
-  for (std::size_t i = 0; i < nbits; ++i) {
-    const U64x2 b = simd::Dup(bits[i]);
-    r0 = simd::CondSub(simd::Add(simd::ShiftLeftOne(r0), b), m0);
-    r1 = simd::CondSub(simd::Add(simd::ShiftLeftOne(r1), b), m1);
-  }
-  simd::Store2(out, r0);
-  simd::Store2(out + 2, r1);
-}
-
 // -------------------------------------------------------------------
 // AVX2 lane-group kernels (x86 only; selected at runtime via
 // __builtin_cpu_supports so the binary never needs -mavx2 globally).
@@ -271,10 +253,10 @@ BatchFingerprintEngine::BatchFingerprintEngine(FingerprintParamBatch batch,
                                                simd::SimdLevel level)
     : batch_(std::move(batch)), level_(level) {
   const std::size_t lanes = batch_.lanes();
-  barrett_p2_.reserve(lanes);
+  mont_p2_.reserve(lanes);
   narrow_ = true;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
-    barrett_p2_.emplace_back(batch_.p2[lane]);
+    mont_p2_.emplace_back(batch_.p2[lane]);
     if (batch_.p1[lane] >= kShoupDomain || batch_.p2[lane] >= kShoupDomain) {
       narrow_ = false;
     }
@@ -290,9 +272,11 @@ BatchFingerprintEngine::BatchFingerprintEngine(FingerprintParamBatch batch,
   std::copy(batch_.p2.begin(), batch_.p2.end(), p2_.begin());
   std::copy(batch_.x.begin(), batch_.x.end(), x_.begin());
 
-  // Tables: xpow[j][lane] = x^(2^j) mod p2 for every exponent bit the
-  // residues e < p1 can have, built by Barrett squaring; narrow lanes
-  // also get the Shoup companions of the 32-bit kernels.
+  // Tables: row j holds x^(2^j) mod p2 for every exponent bit the
+  // residues e < p1 can have, built by Montgomery squaring. Narrow
+  // batches store the rows in normal form with the Shoup companions of
+  // the 32-bit kernels; wide ones keep them in Montgomery form, so that
+  // Mul(power, row) of a normal-form power is again in normal form.
   std::uint64_t max_e = 1;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     max_e = std::max(max_e, batch_.p1[lane] - 1);
@@ -301,13 +285,17 @@ BatchFingerprintEngine::BatchFingerprintEngine(FingerprintParamBatch batch,
   xpow_.resize(static_cast<std::size_t>(table_levels_) * padded_);
   if (narrow_) xshoup_.resize(xpow_.size());
   for (std::size_t lane = 0; lane < padded_; ++lane) {
-    const Barrett bp2(p2_[lane]);
-    std::uint64_t w = x_[lane] % p2_[lane];
+    const Montgomery mont(p2_[lane]);
+    std::uint64_t w = mont.ToMont(x_[lane]);
     for (unsigned j = 0; j < table_levels_; ++j) {
       const std::size_t at = static_cast<std::size_t>(j) * padded_ + lane;
-      xpow_[at] = w;
-      if (narrow_) xshoup_[at] = (w << 32) / p2_[lane];
-      w = bp2.MulMod(w, w);
+      if (narrow_) {
+        xpow_[at] = mont.Reduce(w);
+        xshoup_[at] = (xpow_[at] << 32) / p2_[lane];
+      } else {
+        xpow_[at] = w;
+      }
+      w = mont.Mul(w, w);
     }
   }
   if (!narrow_) return;
@@ -325,11 +313,11 @@ void BatchFingerprintEngine::EvaluateSideScalar(
     const std::uint64_t p1 = batch_.p1[lane];
     const std::uint64_t p2 = batch_.p2[lane];
     const std::uint64_t x = batch_.x[lane];
-    const Barrett& bp2 = barrett_p2_[lane];
+    const Montgomery& mont = mont_p2_[lane];
     std::uint64_t sum = 0;
     for (const BitString& v : values) {
       const std::uint64_t e = v.ModUint64(p1);
-      sum += bp2.PowMod(x, e);
+      sum += mont.PowMod(x, e);
       if (sum >= p2) sum -= p2;
     }
     sums[lane] = sum;
@@ -342,8 +330,10 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
   if (!narrow_) {
     // Out-of-domain moduli: keep the one-pass schedule (all lanes'
     // residues advance during a single scan of each value's bits) but
-    // run the arithmetic in exact scalar u64 / Barrett form. x^e is the
-    // product of the table rows at e's set bits: popcount(e) MulMods.
+    // run the arithmetic in exact scalar u64 / Montgomery form. x^e is
+    // the product of the table rows at e's set bits: popcount(e) Muls,
+    // each taking the normal-form power times a Montgomery-form row to
+    // a normal-form product.
     const std::size_t lanes = batch_.lanes();
     std::vector<std::uint64_t> residues(lanes);
     for (const BitString& v : values) {
@@ -357,12 +347,12 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
         }
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
-        const Barrett& bp2 = barrett_p2_[lane];
+        const Montgomery& mont = mont_p2_[lane];
         std::uint64_t power = 1;
         for (std::uint64_t e = residues[lane]; e != 0; e &= e - 1) {
           const std::size_t row =
               static_cast<std::size_t>(std::countr_zero(e));
-          power = bp2.MulMod(power, xpow_[row * padded_ + lane]);
+          power = mont.Mul(power, xpow_[row * padded_ + lane]);
         }
         sums[lane] += power;
         if (sums[lane] >= batch_.p2[lane]) sums[lane] -= batch_.p2[lane];
@@ -445,56 +435,15 @@ Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
   return outcome;
 }
 
-std::vector<std::uint64_t> BatchResidues(
-    const problems::Instance& instance,
-    const std::vector<std::uint64_t>& primes, simd::SimdLevel level) {
-  const std::size_t lanes = primes.size();
-  const std::size_t count = instance.first.size() + instance.second.size();
-  std::vector<std::uint64_t> result(count * lanes, 0);
-  if (lanes == 0) return result;
-  const auto value_at = [&instance](std::size_t i) -> const BitString& {
-    return i < instance.first.size()
-               ? instance.first[i]
-               : instance.second[i - instance.first.size()];
-  };
-  bool narrow = true;
-  for (const std::uint64_t p : primes) {
-    if (p >= kShoupDomain) narrow = false;
-  }
-  if (level == simd::SimdLevel::kScalar || !narrow) {
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t lane = 0; lane < lanes; ++lane) {
-        result[i * lanes + lane] = value_at(i).ModUint64(primes[lane]);
-      }
-    }
-    return result;
-  }
-  const std::size_t padded = (lanes + kGroup - 1) / kGroup * kGroup;
-  std::vector<std::uint64_t> p1(padded, kPadP1);
-  std::copy(primes.begin(), primes.end(), p1.begin());
-  std::vector<std::uint64_t> out(padded, 0);
-  std::vector<std::uint8_t> bits;
-  for (std::size_t i = 0; i < count; ++i) {
-    ExtractBits(value_at(i), bits);
-    for (std::size_t base = 0; base < padded; base += kGroup) {
-      ResidueGroup4Wrapper(bits.data(), bits.size(), p1.data() + base,
-                           out.data() + base);
-    }
-    std::copy(out.begin(), out.begin() + lanes,
-              result.begin() + static_cast<std::ptrdiff_t>(i * lanes));
-  }
-  return result;
-}
-
 Claim1Estimate EstimateClaim1CollisionRateBatched(
     const problems::Instance& instance, std::size_t trials,
-    std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes,
-    simd::SimdLevel level) {
+    std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes) {
   Claim1Estimate estimate;
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return estimate;
   const PrimePool pool(k_result.value());
+  const Claim1Collisions collisions(instance);
   const parallel::SeedSequence seeds(seed);
   struct CollisionTally {
     std::uint64_t collisions = 0;
@@ -502,26 +451,17 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
       collisions += other.collisions;
     }
   };
-  const std::size_t m_first = instance.first.size();
   const CollisionTally tally = runner.RunSeededBatches<CollisionTally>(
       trials, lanes == 0 ? 1 : lanes, seeds,
       [&](std::uint64_t, std::uint64_t count, Rng& rng,
           CollisionTally& local) {
-        std::vector<std::uint64_t> primes;
-        primes.reserve(count);
+        // One scratch per worker thread, reused by every group it runs.
+        thread_local Claim1Collisions::Scratch scratch;
         for (std::uint64_t c = 0; c < count; ++c) {
           Result<std::uint64_t> p = pool.Sample(rng);
-          if (p.ok()) primes.push_back(p.value());
-        }
-        const std::vector<std::uint64_t> residues =
-            BatchResidues(instance, primes, level);
-        const std::size_t stride = primes.size();
-        ResidueCollisionTable table;
-        for (std::size_t lane = 0; lane < stride; ++lane) {
-          const bool collided = table.HasCollision(
-              instance.first, residues.data() + lane, instance.second,
-              residues.data() + m_first * stride + lane, stride);
-          local.collisions += collided ? 1 : 0;
+          if (p.ok() && collisions.HasCollision(p.value(), scratch)) {
+            ++local.collisions;
+          }
         }
       });
   estimate.trials = trials;

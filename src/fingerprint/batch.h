@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "fingerprint/barrett.h"
+#include "fingerprint/montgomery.h"
 #include "fingerprint/fingerprint.h"
 #include "parallel/trial_runner.h"
 #include "problems/instance.h"
@@ -70,25 +70,26 @@ struct BatchTally {
 
 /// Evaluates a fixed parameter batch against instances.
 ///
-/// Construction precomputes, per lane, the Barrett reciprocal of p2
+/// Construction precomputes, per lane, the Montgomery context of p2
 /// and, for the one-pass levels, the table of squared powers
-/// x^(2^j) mod p2, padded to the lane-group width. When every lane fits the 32-bit Shoup kernel
-/// (p1, p2 < 2^31: small shapes only, k below ~7.2e8) the table also
-/// holds Shoup companions for the vector kernels; otherwise the one-pass
-/// loop multiplies the table rows in with exact Barrett MulMods.
+/// x^(2^j) mod p2, padded to the lane-group width. When every lane fits
+/// the 32-bit Shoup kernel (p1, p2 < 2^31: small shapes only, k below
+/// ~7.2e8) the table also holds Shoup companions for the vector
+/// kernels; otherwise it holds the rows in Montgomery form and the
+/// one-pass loop multiplies them in with exact Montgomery Muls.
 /// `Evaluate` then makes ONE pass over the value stream: each value's
 /// bits update every lane's residue accumulator, and each finished
 /// residue multiplies every lane's sum via the precomputed tables.
 ///
 /// The level picks the schedule, never the result:
-///   kScalar         lane-major reference loop (ModUint64 + Barrett
+///   kScalar         lane-major reference loop (ModUint64 + Montgomery
 ///                   PowMod per lane — literally AcceptsWithParams
 ///                   repeated), the baseline the roofline bench
 ///                   measures against;
 ///   kLanes4/kLanes8 value-major one-pass schedule over groups of 4/8
 ///                   lanes, executed by AVX2 kernels when the CPU has
 ///                   them, by the `simd::U64x2` wrapper otherwise, and
-///                   by exact scalar Barrett loops over the same
+///                   by exact scalar Montgomery loops over the same
 ///                   table when some lane's modulus exceeds the 32-bit
 ///                   kernel's domain.
 class BatchFingerprintEngine {
@@ -128,9 +129,10 @@ class BatchFingerprintEngine {
   std::vector<std::uint64_t> p1_;     // padded SoA copies
   std::vector<std::uint64_t> p2_;
   std::vector<std::uint64_t> x_;
-  std::vector<std::uint64_t> xpow_;   // [j * padded_ + lane] = x^(2^j) mod p2
+  // [j * padded_ + lane] = x^(2^j) mod p2; in Montgomery form when wide
+  std::vector<std::uint64_t> xpow_;
   std::vector<std::uint64_t> xshoup_;  // floor(xpow << 32 / p2); narrow only
-  std::vector<Barrett> barrett_p2_;   // one per real lane
+  std::vector<Montgomery> mont_p2_;    // one per real lane
 };
 
 /// Outcome of one k-fold amplified test.
@@ -150,27 +152,17 @@ Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
     const problems::Instance& instance, std::size_t lanes, Rng& rng,
     simd::SimdLevel level = simd::ProcessSimdLevel());
 
-/// Residues of every value against every prime lane in one stream
-/// pass: result[i * primes.size() + lane] = value_i mod primes[lane],
-/// where value_i enumerates `instance.first` then `instance.second`.
-/// Exact at every level (the level only picks the schedule).
-std::vector<std::uint64_t> BatchResidues(
-    const problems::Instance& instance,
-    const std::vector<std::uint64_t>& primes,
-    simd::SimdLevel level = simd::ProcessSimdLevel());
-
 /// Batched Claim 1 estimator: trial group g (lane-width `lanes`) draws
-/// its primes from the Rng of its first trial index, computes all
-/// residues in one stream pass via `BatchResidues`, and tests each
-/// prime lane for a collision. The tally is a pure function of
-/// (instance, trials, seed, lanes) — identical at any thread count and
-/// any SIMD level. Note the random schedule differs from the unbatched
-/// estimator (one draw per trial Rng there, `lanes` draws per group
-/// Rng here), so compare rates, not bits, across the two APIs.
+/// its `lanes` primes from the Rng of its first trial index and tests
+/// each for a collision on one `Claim1Collisions` built per call, so
+/// the values are sorted and numbered once, not once per prime. The
+/// tally is a pure function of (instance, trials, seed, lanes) —
+/// identical at any thread count. Note the random schedule differs from
+/// the unbatched estimator (one draw per trial Rng there, `lanes` draws
+/// per group Rng here), so compare rates, not bits, across the two APIs.
 Claim1Estimate EstimateClaim1CollisionRateBatched(
     const problems::Instance& instance, std::size_t trials,
-    std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes,
-    simd::SimdLevel level = simd::ProcessSimdLevel());
+    std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes);
 
 }  // namespace rstlab::fingerprint
 

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <vector>
 
-#include "fingerprint/barrett.h"
 #include "fingerprint/collision.h"
+#include "fingerprint/montgomery.h"
 #include "fingerprint/prime.h"
 #include "fingerprint/prime_pool.h"
 #include "stmodel/internal_arena.h"
@@ -50,9 +50,9 @@ namespace {
 
 /// Number of x in {1..p2-1} for which the fingerprint accepts under
 /// prime p1 — the inner loop of the exact enumeration, with the fixed
-/// modulus p2 reduced via Barrett instead of 128-bit division.
+/// modulus p2 in Montgomery arithmetic instead of 128-bit division.
 std::uint64_t CountAcceptingX(const problems::Instance& instance,
-                              std::uint64_t p1, const Barrett& bp2) {
+                              std::uint64_t p1, const Montgomery& mont) {
   // Residues are independent of x; hoist them out of the x loop.
   std::vector<std::uint64_t> e_first;
   std::vector<std::uint64_t> e_second;
@@ -64,42 +64,22 @@ std::uint64_t CountAcceptingX(const problems::Instance& instance,
   for (const BitString& v : instance.second) {
     e_second.push_back(v.ModUint64(p1));
   }
-  const std::uint64_t p2 = bp2.modulus();
+  const std::uint64_t p2 = mont.modulus();
   std::uint64_t accepting = 0;
   for (std::uint64_t x = 1; x < p2; ++x) {
     std::uint64_t sum_first = 0;
     std::uint64_t sum_second = 0;
     for (std::uint64_t e : e_first) {
-      sum_first += bp2.PowMod(x, e);
+      sum_first += mont.PowMod(x, e);
       if (sum_first >= p2) sum_first -= p2;
     }
     for (std::uint64_t e : e_second) {
-      sum_second += bp2.PowMod(x, e);
+      sum_second += mont.PowMod(x, e);
       if (sum_second >= p2) sum_second -= p2;
     }
     accepting += sum_first == sum_second;
   }
   return accepting;
-}
-
-/// The Claim 1 event for one concrete prime: does some pair
-/// v_i != v'_j collide mod p?
-bool HasResidueCollision(const problems::Instance& instance,
-                         std::uint64_t p) {
-  std::vector<std::uint64_t> first_residues;
-  std::vector<std::uint64_t> second_residues;
-  first_residues.reserve(instance.first.size());
-  second_residues.reserve(instance.second.size());
-  for (const BitString& v : instance.first) {
-    first_residues.push_back(v.ModUint64(p));
-  }
-  for (const BitString& v : instance.second) {
-    second_residues.push_back(v.ModUint64(p));
-  }
-  ResidueCollisionTable table;
-  return table.HasCollision(instance.first, first_residues.data(),
-                            instance.second, second_residues.data(),
-                            /*stride=*/1);
 }
 
 /// Shared setup of the exact enumeration: k, the Bertrand prime p2 and
@@ -150,18 +130,18 @@ Result<FingerprintParams> SampleFingerprintParams(std::size_t m,
 
 bool AcceptsWithParams(const problems::Instance& instance,
                        const FingerprintParams& params) {
-  // p2 is fixed for the whole accumulation; reduce it via Barrett.
-  const Barrett bp2(params.p2);
+  // p2 is fixed for the whole accumulation: one Montgomery context.
+  const Montgomery mont(params.p2);
   std::uint64_t sum_first = 0;
   std::uint64_t sum_second = 0;
   for (const BitString& v : instance.first) {
     const std::uint64_t e = v.ModUint64(params.p1);
-    sum_first += bp2.PowMod(params.x, e);
+    sum_first += mont.PowMod(params.x, e);
     if (sum_first >= params.p2) sum_first -= params.p2;
   }
   for (const BitString& v : instance.second) {
     const std::uint64_t e = v.ModUint64(params.p1);
-    sum_second += bp2.PowMod(params.x, e);
+    sum_second += mont.PowMod(params.x, e);
     if (sum_second >= params.p2) sum_second -= params.p2;
   }
   return sum_first == sum_second;
@@ -253,6 +233,7 @@ Result<FingerprintOutcome> TestMultisetEqualityOnTapes(
   stmodel::MeteredUint64 sum_first(arena, stmodel::BitsFor(params.p2));
   stmodel::MeteredUint64 sum_second(arena, stmodel::BitsFor(params.p2));
   stmodel::MeteredUint64 field_index(arena, ctr_bits);
+  const Montgomery mont_p2(params.p2);
 
   // ---- Scan 2: one BACKWARD pass (exactly one head reversal, so the
   // whole run uses the paper's two sequential scans). Reading a value
@@ -266,13 +247,13 @@ Result<FingerprintOutcome> TestMultisetEqualityOnTapes(
   std::size_t remaining = in.head();
   auto finalize_field = [&]() {
     field_index = field_index.get() - 1;
-    const std::uint64_t term =
-        PowMod(reg_x.get(), residue.get(), reg_p2.get());
-    if (field_index.get() < m) {
-      sum_first = (sum_first.get() + term) % reg_p2.get();
-    } else {
-      sum_second = (sum_second.get() + term) % reg_p2.get();
-    }
+    const std::uint64_t term = mont_p2.PowMod(reg_x.get(), residue.get());
+    // Both addends are below p2 <= 2^62, so one conditional subtract
+    // reduces the sum.
+    stmodel::MeteredUint64& sum =
+        field_index.get() < m ? sum_first : sum_second;
+    const std::uint64_t next = sum.get() + term;
+    sum = next >= reg_p2.get() ? next - reg_p2.get() : next;
     residue = 0;
     power = 1 % reg_p1.get();
   };
@@ -311,10 +292,10 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
                                       std::uint64_t max_k) {
   Result<ExactEnumeration> prep = PrepareExactEnumeration(instance, max_k);
   if (!prep.ok()) return prep.status();
-  const Barrett bp2(prep.value().p2);
+  const Montgomery mont(prep.value().p2);
   std::uint64_t accepting = 0;
   for (std::uint64_t p1 : prep.value().primes) {
-    accepting += CountAcceptingX(instance, p1, bp2);
+    accepting += CountAcceptingX(instance, p1, mont);
   }
   const std::uint64_t total =
       prep.value().primes.size() * (prep.value().p2 - 1);
@@ -327,7 +308,7 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
   Result<ExactEnumeration> prep = PrepareExactEnumeration(instance, max_k);
   if (!prep.ok()) return prep.status();
   const ExactEnumeration& enumeration = prep.value();
-  const Barrett bp2(enumeration.p2);
+  const Montgomery mont(enumeration.p2);
   struct AcceptTally {
     std::uint64_t accepting = 0;
     void Merge(const AcceptTally& other) { accepting += other.accepting; }
@@ -336,7 +317,7 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
       enumeration.primes.size(),
       [&](std::uint64_t prime_index, AcceptTally& local) {
         local.accepting += CountAcceptingX(
-            instance, enumeration.primes[prime_index], bp2);
+            instance, enumeration.primes[prime_index], mont);
       });
   const std::uint64_t total =
       enumeration.primes.size() * (enumeration.p2 - 1);
@@ -350,11 +331,13 @@ double EstimateClaim1CollisionRate(const problems::Instance& instance,
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return 0.0;
 
+  const Claim1Collisions claim1(instance);
+  Claim1Collisions::Scratch scratch;
   std::size_t collisions = 0;
   for (std::size_t t = 0; t < trials; ++t) {
     Result<std::uint64_t> p = RandomPrimeAtMost(k_result.value(), rng);
     if (!p.ok()) continue;
-    if (HasResidueCollision(instance, p.value())) ++collisions;
+    if (claim1.HasCollision(p.value(), scratch)) ++collisions;
   }
   return static_cast<double>(collisions) / static_cast<double>(trials);
 }
@@ -367,6 +350,7 @@ Claim1Estimate EstimateClaim1CollisionRate(
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return estimate;
   const std::uint64_t k = k_result.value();
+  const Claim1Collisions claim1(instance);
   const parallel::SeedSequence seeds(seed);
   struct CollisionTally {
     std::uint64_t trials = 0;
@@ -379,10 +363,12 @@ Claim1Estimate EstimateClaim1CollisionRate(
   const CollisionTally tally = runner.RunSeeded<CollisionTally>(
       trials, seeds,
       [&](std::uint64_t, Rng& rng, CollisionTally& local) {
+        // One scratch per worker thread, reused by every trial it runs.
+        thread_local Claim1Collisions::Scratch scratch;
         Result<std::uint64_t> p = RandomPrimeAtMost(k, rng);
         if (!p.ok()) return;
         ++local.trials;
-        if (HasResidueCollision(instance, p.value())) ++local.collisions;
+        if (claim1.HasCollision(p.value(), scratch)) ++local.collisions;
       });
   // The rate denominator stays the requested trial count (a prime draw
   // that does not converge is skipped, matching the serial estimator).

@@ -110,7 +110,7 @@ Result<double> ExactAcceptProbability(const problems::Instance& instance,
 
 /// Parallel exact enumeration: the outer p1 prime axis (sieved once
 /// into a PrimePool) is mapped over `runner`; each prime's inner x loop
-/// runs with a Barrett-reduced fixed-p2 kernel. The result is exactly
+/// runs with a Montgomery fixed-p2 kernel. The result is exactly
 /// the serial ExactAcceptProbability (the accept counts are integers,
 /// so the deterministic chunk merge is trivially exact).
 Result<double> ExactAcceptProbability(const problems::Instance& instance,

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "fingerprint/montgomery.h"
+
 namespace rstlab::fingerprint {
 
 std::uint64_t MulMod(std::uint64_t a, std::uint64_t b,
@@ -25,14 +27,15 @@ std::uint64_t PowMod(std::uint64_t base, std::uint64_t exponent,
 
 namespace {
 
-/// Whether odd n > 2 with n - 1 = d * 2^r passes the strong-probable-
-/// prime test to base a (a % n != 0).
-bool StrongProbablePrime(std::uint64_t n, std::uint64_t d, int r,
+/// Whether odd n > 2 (the context's modulus) with n - 1 = d * 2^r
+/// passes the strong-probable-prime test to base a (a % n != 0).
+bool StrongProbablePrime(const Montgomery& mont, std::uint64_t d, int r,
                          std::uint64_t a) {
-  std::uint64_t x = PowMod(a, d, n);
+  const std::uint64_t n = mont.modulus();
+  std::uint64_t x = mont.PowMod(a, d);
   if (x == 1 || x == n - 1) return true;
   for (int i = 0; i < r - 1; ++i) {
-    x = MulMod(x, x, n);
+    x = mont.MulMod(x, x);
     if (x == n - 1) return true;
   }
   return false;
@@ -59,9 +62,10 @@ bool IsPrime(std::uint64_t n) {
   static constexpr std::array<std::uint64_t, 3> kSmallBases = {2, 7, 61};
   static constexpr std::array<std::uint64_t, 12> kAllBases = {
       2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37};
+  const Montgomery mont(n);
   const auto passes = [&](const auto& bases) {
     for (const std::uint64_t a : bases) {
-      if (a % n != 0 && !StrongProbablePrime(n, d, r, a)) return false;
+      if (a % n != 0 && !StrongProbablePrime(mont, d, r, a)) return false;
     }
     return true;
   };

@@ -8,17 +8,19 @@
 
 namespace rstlab::fingerprint {
 
-/// (a * b) mod modulus without overflow (128-bit intermediate).
+/// (a * b) mod modulus by a 128-bit division. This and PowMod are the
+/// independent reference the tests hold Montgomery against; no library
+/// path calls them (see fingerprint/montgomery.h).
 std::uint64_t MulMod(std::uint64_t a, std::uint64_t b,
                      std::uint64_t modulus);
 
-/// (base ^ exponent) mod modulus by square-and-multiply.
+/// (base ^ exponent) mod modulus by square-and-multiply over MulMod.
 std::uint64_t PowMod(std::uint64_t base, std::uint64_t exponent,
                      std::uint64_t modulus);
 
 /// Deterministic primality test, exact for all 64-bit integers
 /// (Miller-Rabin with bases {2, 7, 61} below 4,759,123,141 and the
-/// standard 12-base witness set above).
+/// standard 12-base witness set above, in Montgomery arithmetic).
 bool IsPrime(std::uint64_t n);
 
 /// A prime chosen uniformly at random among the primes <= k (paper

@@ -32,7 +32,7 @@ namespace rstlab::simd {
 
 /// Lane-group widths the batched kernels are specialised for.
 enum class SimdLevel : std::uint8_t {
-  /// One lane at a time through the reference Barrett kernels.
+  /// One lane at a time through the reference Montgomery kernels.
   kScalar = 0,
   /// Groups of 4 u64 lanes (one AVX2 vector / two NEON vectors).
   kLanes4 = 1,

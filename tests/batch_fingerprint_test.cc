@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
+#include "fingerprint/prime_pool.h"
 #include "parallel/seed_sequence.h"
 #include "parallel/trial_runner.h"
 #include "problems/generators.h"
@@ -130,48 +132,83 @@ TEST(BatchEngineTest, WideModuliFallBackExactly) {
   }
 }
 
-TEST(BatchEngineTest, BatchResiduesMatchModUint64AtEveryLevel) {
-  Rng rng(0x4E5);
-  const problems::Instance instance = problems::EqualMultisets(5, 24, rng);
-  const std::vector<std::uint64_t> primes = {2, 3, 97, 1009, 104729,
-                                             (std::uint64_t{1} << 31) + 11};
-  for (const SimdLevel level : kAllLevels) {
-    const std::vector<std::uint64_t> residues =
-        BatchResidues(instance, primes, level);
-    ASSERT_EQ(residues.size(), 2 * instance.m() * primes.size());
-    for (std::size_t i = 0; i < instance.m(); ++i) {
-      for (std::size_t lane = 0; lane < primes.size(); ++lane) {
-        EXPECT_EQ(residues[i * primes.size() + lane],
-                  instance.first[i].ModUint64(primes[lane]));
-        EXPECT_EQ(residues[(instance.m() + i) * primes.size() + lane],
-                  instance.second[i].ModUint64(primes[lane]));
-      }
-    }
-  }
-}
-
-TEST(BatchEngineTest, BatchedClaim1IdenticalAcrossThreadsAndLevels) {
+TEST(BatchEngineTest, BatchedClaim1IdenticalAcrossThreads) {
   Rng rng(0xC1A);
   const problems::Instance instance =
       problems::PerturbedMultisets(6, 10, 2, rng);
   parallel::TrialRunner one(1);
   parallel::TrialRunner many(4);
-  Claim1Estimate reference;
-  bool have_reference = false;
-  for (const SimdLevel level : kAllLevels) {
-    const Claim1Estimate serial = EstimateClaim1CollisionRateBatched(
-        instance, 64, 99, one, 8, level);
-    const Claim1Estimate parallel_run = EstimateClaim1CollisionRateBatched(
-        instance, 64, 99, many, 8, level);
-    EXPECT_EQ(serial.trials, 64u);
-    EXPECT_EQ(serial.collisions, parallel_run.collisions);
-    if (!have_reference) {
-      reference = serial;
-      have_reference = true;
+  const Claim1Estimate serial =
+      EstimateClaim1CollisionRateBatched(instance, 64, 99, one, 8);
+  const Claim1Estimate parallel_run =
+      EstimateClaim1CollisionRateBatched(instance, 64, 99, many, 8);
+  EXPECT_EQ(serial.trials, 64u);
+  EXPECT_EQ(parallel_run.trials, 64u);
+  EXPECT_EQ(serial.collisions, parallel_run.collisions);
+}
+
+/// The Claim 1 event by definition: some pair of unequal values with
+/// equal residues.
+bool PairwiseCollision(const problems::Instance& instance, std::uint64_t p) {
+  for (const BitString& v : instance.first) {
+    for (const BitString& w : instance.second) {
+      if (v != w && v.ModUint64(p) == w.ModUint64(p)) return true;
     }
-    EXPECT_EQ(serial.collisions, reference.collisions)
-        << simd::SimdLevelName(level);
   }
+  return false;
+}
+
+/// The batched tally recomputed from scratch: the same group layout and
+/// prime draws, and the pairwise definition per prime.
+std::uint64_t ReferenceBatchedCollisions(const problems::Instance& instance,
+                                         std::uint64_t trials,
+                                         std::uint64_t seed,
+                                         std::uint64_t lanes) {
+  const std::uint64_t k =
+      ComputeFingerprintK(instance.m(), MaxValueBits(instance)).value();
+  const PrimePool pool(k);
+  const parallel::SeedSequence seeds(seed);
+  std::uint64_t collisions = 0;
+  for (std::uint64_t first = 0; first < trials; first += lanes) {
+    Rng rng = seeds.RngForTrial(first);
+    for (std::uint64_t c = 0; c < std::min(lanes, trials - first); ++c) {
+      const Result<std::uint64_t> p = pool.Sample(rng);
+      if (p.ok() && PairwiseCollision(instance, p.value())) ++collisions;
+    }
+  }
+  return collisions;
+}
+
+TEST(BatchEngineTest, BatchedClaim1MatchesPairwiseReference) {
+  Rng rng(0xC1B);
+  std::vector<problems::Instance> instances;
+  // Values of 65-130 bits: residues span two or three words.
+  instances.push_back(problems::PerturbedMultisets(5, 130, 2, rng));
+  // Small k (m = 3, n = 4): collisions on most primes.
+  instances.push_back(problems::PerturbedMultisets(3, 4, 1, rng));
+  // Equal numbers at different lengths are different values.
+  problems::Instance mixed;
+  for (int i = 0; i < 4; ++i) {
+    const BitString v = BitString::Random(3, rng);
+    mixed.first.push_back(v);
+    mixed.second.push_back(BitString::FromString("00" + v.ToString()));
+  }
+  instances.push_back(mixed);
+  parallel::TrialRunner runner(3);
+  std::uint64_t small_k_collisions = 0;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    for (const std::uint64_t lanes : {1u, 5u, 8u}) {
+      const Claim1Estimate estimate = EstimateClaim1CollisionRateBatched(
+          instances[i], 60, /*seed=*/500 + i, runner, lanes);
+      const std::uint64_t expected =
+          ReferenceBatchedCollisions(instances[i], 60, 500 + i, lanes);
+      EXPECT_EQ(estimate.collisions, expected)
+          << "instance " << i << " lanes " << lanes;
+      if (i == 1) small_k_collisions += expected;
+    }
+  }
+  // The small-k instance must actually exercise collisions.
+  EXPECT_GT(small_k_collisions, 0u);
 }
 
 TEST(BatchEngineTest, RunSeededBatchesIsThreadCountInvariant) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -8,9 +9,9 @@
 
 #include "extmem/counting_storage.h"
 #include "extmem/storage.h"
-#include "fingerprint/barrett.h"
 #include "fingerprint/collision.h"
 #include "fingerprint/fingerprint.h"
+#include "fingerprint/montgomery.h"
 #include "fingerprint/prime.h"
 #include "fingerprint/prime_pool.h"
 #include "obs/ring_sink.h"
@@ -138,115 +139,123 @@ TEST(PrimeTest, CountPrimesUpTo) {
 }
 
 // ---------------------------------------------------------------------
-// Barrett reduction
+// Montgomery arithmetic, held against the __int128 MulMod/PowMod of
+// prime.h, which share no code with it
 // ---------------------------------------------------------------------
 
-TEST(BarrettTest, MatchesMulModOverRandom64BitInputs) {
+/// The largest 64-bit prime, 2^64 - 59.
+constexpr std::uint64_t kTopPrime = 0xffffffffffffffc5ULL;
+
+/// Operands at the edges of the 64-bit and modular ranges.
+std::vector<std::uint64_t> EdgeOperands(std::uint64_t m) {
+  return {0, 1, 2, m - 2, m - 1, m, m + 1, 2 * m - 1, ~std::uint64_t{0},
+          ~std::uint64_t{0} - 1, std::uint64_t{1} << 63};
+}
+
+TEST(MontgomeryTest, MatchesInt128AtBoundaryModuli) {
+  const std::uint64_t two31 = std::uint64_t{1} << 31;
+  const std::uint64_t two62 = std::uint64_t{1} << 62;
+  const std::uint64_t two63 = std::uint64_t{1} << 63;
+  const std::uint64_t moduli[] = {
+      3,          5,          7,          two31 - 1,  two31 + 1,
+      two31 + 11, two31 - 19, two62 - 57, two62 - 1,  two62 + 1,
+      two62 + 3,  two63 - 25, two63 - 1,  two63 + 1,  kTopPrime,
+      ~std::uint64_t{0}};
+  Rng rng(0x3047);
+  for (const std::uint64_t m : moduli) {
+    const Montgomery mont(m);
+    ASSERT_EQ(mont.modulus(), m);
+    std::vector<std::uint64_t> operands = EdgeOperands(m);
+    for (int i = 0; i < 16; ++i) operands.push_back(rng.Next64());
+    for (const std::uint64_t a : operands) {
+      for (const std::uint64_t b : operands) {
+        ASSERT_EQ(mont.MulMod(a, b), MulMod(a, b, m))
+            << "a=" << a << " b=" << b << " m=" << m;
+      }
+      ASSERT_EQ(mont.Reduce(mont.ToMont(a)), a % m) << "a=" << a;
+    }
+    for (const std::uint64_t e :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2}, m - 1, m,
+          ~std::uint64_t{0}, rng.Next64() >> 17}) {
+      for (const std::uint64_t base : operands) {
+        ASSERT_EQ(mont.PowMod(base, e), PowMod(base, e, m))
+            << "base=" << base << " e=" << e << " m=" << m;
+      }
+    }
+  }
+}
+
+TEST(MontgomeryTest, MatchesInt128OverRandomOddModuli) {
   Rng rng(0xBA77);
   for (int i = 0; i < 5000; ++i) {
-    // Any modulus in [2, 2^63); operands arbitrary 64-bit.
-    const std::uint64_t m =
-        rng.UniformInRange(2, (std::uint64_t{1} << 63) - 1);
-    const Barrett barrett(m);
+    // Any odd modulus >= 3, a third of them below 2^32; operands
+    // arbitrary 64-bit.
+    std::uint64_t m = rng.Next64() >> (i % 3 == 0 ? 32 : 0);
+    m = std::max<std::uint64_t>(3, m | 1);
+    const Montgomery mont(m);
     const std::uint64_t a = rng.Next64();
     const std::uint64_t b = rng.Next64();
-    ASSERT_EQ(barrett.MulMod(a, b), MulMod(a, b, m))
+    ASSERT_EQ(mont.MulMod(a, b), MulMod(a, b, m))
         << "a=" << a << " b=" << b << " m=" << m;
+    // A 47-bit exponent, the shape of the tape tester's x^e mod p2.
+    const std::uint64_t e = rng.Next64() >> 17;
+    ASSERT_EQ(mont.PowMod(a, e), PowMod(a, e, m))
+        << "a=" << a << " e=" << e << " m=" << m;
   }
 }
 
-TEST(BarrettTest, MatchesPowMod) {
+TEST(MontgomeryTest, MontgomeryFormRowsGiveNormalFormProducts) {
+  // The batch engine's wide path keeps x^(2^j) rows as ToMont(row) and
+  // multiplies a normal-form power by them; Reduce of a raw word labels
+  // its residue class (the Claim 1 estimator's key).
   Rng rng(0xBA78);
-  for (int i = 0; i < 500; ++i) {
+  for (int i = 0; i < 2000; ++i) {
     const std::uint64_t m =
-        rng.UniformInRange(2, (std::uint64_t{1} << 62));
-    const Barrett barrett(m);
-    const std::uint64_t base = rng.Next64();
-    const std::uint64_t exp = rng.UniformBelow(1 << 20);
-    ASSERT_EQ(barrett.PowMod(base, exp), PowMod(base % m, exp, m))
-        << "base=" << base << " exp=" << exp << " m=" << m;
-  }
-}
-
-TEST(BarrettTest, EdgeModuli) {
-  for (std::uint64_t m : {std::uint64_t{2}, std::uint64_t{3},
-                          (std::uint64_t{1} << 63) - 1,
-                          (std::uint64_t{1} << 62) + 1}) {
-    const Barrett barrett(m);
-    EXPECT_EQ(barrett.Reduce(0), 0u);
-    EXPECT_EQ(barrett.MulMod(m - 1, m - 1), MulMod(m - 1, m - 1, m));
-    // Largest possible 128-bit product of two 64-bit operands.
-    const std::uint64_t big = ~std::uint64_t{0};
-    EXPECT_EQ(barrett.MulMod(big, big), MulMod(big, big, m));
-  }
-}
-
-TEST(BarrettTest, BoundaryModuliNearTopOfRange) {
-  // The largest prime below 2^63 (2^63 - 25) and its neighbours: the
-  // reciprocal has the fewest usable quotient bits here, so quotient
-  // error is maximal.
-  const std::uint64_t near_top[] = {
-      (std::uint64_t{1} << 63) - 25,  // prime
-      (std::uint64_t{1} << 63) - 1,   // largest in-range value
-      (std::uint64_t{1} << 63) - 2,
-  };
-  const unsigned __int128 max128 = ~static_cast<unsigned __int128>(0);
-  for (std::uint64_t m : near_top) {
-    const Barrett barrett(m);
-    // Reduce of the absolute maximum 128-bit value against the widening
-    // reference reduction.
-    const std::uint64_t expected = static_cast<std::uint64_t>(max128 % m);
-    EXPECT_EQ(barrett.Reduce(max128), expected) << "m=" << m;
-    EXPECT_EQ(barrett.Reduce(static_cast<unsigned __int128>(m)), 0u);
-    EXPECT_EQ(barrett.Reduce(static_cast<unsigned __int128>(m) - 1),
-              m - 1);
-  }
-}
-
-TEST(BarrettTest, SmallestOddPrimeExhaustive) {
-  // m = 3: every residue class is reachable; sweep products around the
-  // 64-bit extremes as well as a dense small range.
-  const Barrett barrett(3);
-  for (std::uint64_t a = 0; a < 64; ++a) {
-    for (std::uint64_t b = 0; b < 64; ++b) {
-      ASSERT_EQ(barrett.MulMod(a, b), (a * b) % 3);
-    }
-  }
-  const std::uint64_t top = ~std::uint64_t{0};
-  for (std::uint64_t a = top - 8; a != 0; ++a) {
-    EXPECT_EQ(barrett.MulMod(a, top), MulMod(a, top, 3));
-  }
-  EXPECT_EQ(barrett.PowMod(2, 64), PowMod(2, 64, 3));
-}
-
-TEST(BarrettTest, PowerOfTwoModuliStayCorrect) {
-  // Powers of two are the only in-range divisors of 2^128: the
-  // precomputed reciprocal is floor(2^128/m) - 1 instead of the exact
-  // quotient, which is off the header's error analysis but must still
-  // reduce correctly (the subtraction loop absorbs the extra slack).
-  Rng rng(0xB0);
-  for (int shift = 1; shift < 63; ++shift) {
-    const std::uint64_t m = std::uint64_t{1} << shift;
-    const Barrett barrett(m);
-    const std::uint64_t big = ~std::uint64_t{0};
-    ASSERT_EQ(barrett.MulMod(big, big), MulMod(big, big, m)) << m;
-    for (int i = 0; i < 32; ++i) {
-      const std::uint64_t a = rng.Next64();
-      const std::uint64_t b = rng.Next64();
-      ASSERT_EQ(barrett.MulMod(a, b), MulMod(a, b, m))
-          << "a=" << a << " b=" << b << " m=" << m;
+        std::max<std::uint64_t>(3, (rng.Next64() >> 2) | 1);
+    const Montgomery mont(m);
+    const std::uint64_t power = rng.Next64() % m;
+    const std::uint64_t row = rng.Next64();
+    ASSERT_EQ(mont.Mul(power, mont.ToMont(row)), MulMod(power, row, m))
+        << "power=" << power << " row=" << row << " m=" << m;
+    const std::uint64_t w = rng.Next64();
+    const std::uint64_t same_class = w % m + (rng.Next64() % 4) * m;
+    ASSERT_EQ(mont.Reduce(w), mont.Reduce(same_class)) << "m=" << m;
+    ASSERT_LT(mont.Reduce(w), m);
+    if (w % m != (w + 1) % m) {
+      ASSERT_NE(mont.Reduce(w), mont.Reduce(w + 1)) << "m=" << m;
     }
   }
 }
 
-TEST(BarrettDeathTest, RejectsOutOfRangeModuliInEveryBuildMode) {
-  // The precondition 2 <= m < 2^63 is enforced with an abort even in
-  // release builds: a silent out-of-range modulus would corrupt every
-  // subsequent Reduce.
-  EXPECT_DEATH(Barrett(0), "outside");
-  EXPECT_DEATH(Barrett(1), "outside");
-  EXPECT_DEATH(Barrett(std::uint64_t{1} << 63), "outside");
-  EXPECT_DEATH(Barrett(~std::uint64_t{0}), "outside");
+TEST(MontgomeryTest, SmallestModuliExhaustive) {
+  // m = 3 and 5: every residue class is reachable; sweep a dense small
+  // range and products around the 64-bit extremes.
+  for (const std::uint64_t m : {std::uint64_t{3}, std::uint64_t{5}}) {
+    const Montgomery mont(m);
+    for (std::uint64_t a = 0; a < 64; ++a) {
+      for (std::uint64_t b = 0; b < 64; ++b) {
+        ASSERT_EQ(mont.MulMod(a, b), (a * b) % m);
+      }
+      ASSERT_EQ(mont.PowMod(a, a), PowMod(a, a, m));
+    }
+    const std::uint64_t top = ~std::uint64_t{0};
+    for (std::uint64_t a = top - 8; a != 0; ++a) {
+      EXPECT_EQ(mont.MulMod(a, top), MulMod(a, top, m));
+    }
+    EXPECT_EQ(mont.PowMod(2, 64), PowMod(2, 64, m));
+  }
+}
+
+TEST(MontgomeryDeathTest, RejectsEvenAndTinyModuliInEveryBuildMode) {
+  // The precondition (odd, >= 3) is enforced with an abort even in
+  // release builds: an even modulus has no inverse mod 2^64 and would
+  // corrupt every product silently.
+  EXPECT_DEATH(Montgomery(0), "odd");
+  EXPECT_DEATH(Montgomery(1), "odd");
+  EXPECT_DEATH(Montgomery(2), "odd");
+  EXPECT_DEATH(Montgomery(1024), "odd");
+  EXPECT_DEATH(Montgomery(std::uint64_t{1} << 63), "odd");
+  EXPECT_DEATH(Montgomery(~std::uint64_t{0} - 1), "odd");
 }
 
 // ---------------------------------------------------------------------
@@ -596,42 +605,66 @@ bool BruteForceCollision(const problems::Instance& inst, std::uint64_t p) {
   return false;
 }
 
+/// A short random value, or the same value behind enough leading zeros
+/// to need two or three 64-bit words: equal numbers, different values.
+BitString MixedLengthValue(Rng& rng) {
+  const BitString short_value =
+      BitString::Random(1 + static_cast<std::size_t>(rng.UniformBelow(5)),
+                        rng);
+  switch (rng.UniformBelow(4)) {
+    case 0:
+      return BitString::FromString(std::string(66, '0') +
+                                   short_value.ToString());
+    case 1:
+      return BitString::FromString("0" + short_value.ToString());
+    default:
+      return short_value;
+  }
+}
+
 TEST(Claim1Test, CollisionTableMatchesPairwiseDefinition) {
-  // Tiny primes force shared residues, duplicate second-list values
-  // and distinct values sharing a residue; one table is reused across
-  // lists of changing sizes and read at strides 1 and 3.
+  // Tiny primes force shared residues; duplicate values and equal
+  // numbers written at different lengths ("1", "01", 66 zeros then "1")
+  // must count exactly as the pairwise definition says. One scratch is
+  // reused across instances of changing sizes.
   Rng rng(41);
-  ResidueCollisionTable table;
+  Claim1Collisions::Scratch scratch;
   for (int round = 0; round < 300; ++round) {
     problems::Instance inst;
     const std::size_t m1 = rng.UniformBelow(7);
     const std::size_t m2 = rng.UniformBelow(7);
     for (std::size_t i = 0; i < m1; ++i) {
-      inst.first.push_back(BitString::Random(4, rng));
+      inst.first.push_back(MixedLengthValue(rng));
     }
     for (std::size_t j = 0; j < m2; ++j) {
       inst.second.push_back(j > 0 && rng.UniformBelow(3) == 0
                                 ? inst.second[j - 1]
-                                : BitString::Random(4, rng));
+                                : MixedLengthValue(rng));
     }
-    for (const std::uint64_t p : {2u, 3u, 5u, 7u, 17u}) {
-      const bool expected = BruteForceCollision(inst, p);
-      for (const std::size_t stride : {1u, 3u}) {
-        std::vector<std::uint64_t> first(m1 * stride, 0);
-        std::vector<std::uint64_t> second(m2 * stride, 0);
-        for (std::size_t i = 0; i < m1; ++i) {
-          first[i * stride] = inst.first[i].ModUint64(p);
-        }
-        for (std::size_t j = 0; j < m2; ++j) {
-          second[j * stride] = inst.second[j].ModUint64(p);
-        }
-        EXPECT_EQ(table.HasCollision(inst.first, first.data(), inst.second,
-                                     second.data(), stride),
-                  expected)
-            << "round=" << round << " p=" << p << " stride=" << stride;
-      }
+    const Claim1Collisions claim1(inst);
+    for (const std::uint64_t p : {2u, 3u, 5u, 7u, 17u, 1000003u}) {
+      EXPECT_EQ(claim1.HasCollision(p, scratch), BruteForceCollision(inst, p))
+          << "round=" << round << " p=" << p;
     }
   }
+}
+
+TEST(Claim1Test, EqualNumbersOfDifferentLengthsCollide) {
+  // "01" and "1" are different values with equal residues for every p:
+  // the Claim 1 event happens, whatever the prime.
+  problems::Instance inst;
+  inst.first = {BitString::FromString("01")};
+  inst.second = {BitString::FromString("1")};
+  const Claim1Collisions claim1(inst);
+  EXPECT_EQ(claim1.distinct(), 2u);
+  Claim1Collisions::Scratch scratch;
+  for (const std::uint64_t p : {2u, 3u, 1000003u}) {
+    EXPECT_TRUE(claim1.HasCollision(p, scratch)) << p;
+  }
+  inst.second = {BitString::FromString("01")};
+  const Claim1Collisions same(inst);
+  EXPECT_EQ(same.distinct(), 1u);
+  EXPECT_FALSE(same.HasCollision(3, scratch));
 }
 
 TEST(Claim1Test, ZeroTrialsIsZero) {
