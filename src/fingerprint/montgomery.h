@@ -28,9 +28,9 @@ namespace rstlab::fingerprint {
 /// use to skip conversions altogether.
 class Montgomery {
  public:
-  /// Precomputes p^-1 mod R and R^2 mod p (no division). An even
-  /// modulus or one below 3 aborts in every build mode: it has no
-  /// inverse mod R, and every later product would be silently wrong.
+  /// Precomputes p^-1 mod R and R^2 mod p. An even modulus or one
+  /// below 3 aborts in every build mode: it has no inverse mod R, and
+  /// every later product would be silently wrong.
   explicit Montgomery(std::uint64_t modulus) : modulus_(modulus) {
     if (modulus < 3 || modulus % 2 == 0) {
       std::fprintf(stderr,
@@ -43,14 +43,11 @@ class Montgomery {
     // p * p = 1 (mod 8) for odd p seeds it with 3 bits.
     inverse_ = modulus;
     for (int i = 0; i < 5; ++i) inverse_ *= 2 - modulus * inverse_;
-    // R mod p = (R - p) mod p; doubling it 64 times gives R^2 mod p.
-    // x + x is formed as x - (p - x) when it would pass p, so nothing
-    // overflows even for p >= 2^63.
-    std::uint64_t x = (0 - modulus) % modulus;
-    for (int i = 0; i < 64; ++i) {
-      x = x >= modulus - x ? x - (modulus - x) : x + x;
-    }
-    r_squared_ = x;
+    // R mod p = (R - p) mod p, squared once more for R^2 mod p: the
+    // context's only two divisions.
+    const std::uint64_t r = (0 - modulus) % modulus;
+    r_squared_ = static_cast<std::uint64_t>(
+        static_cast<unsigned __int128>(r) * r % modulus);
   }
 
   std::uint64_t modulus() const { return modulus_; }
