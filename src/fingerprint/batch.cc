@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "fingerprint/collision.h"
-#include "fingerprint/prime_pool.h"
+#include "fingerprint/prime.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RSTLAB_BATCH_AVX2 1
@@ -442,7 +442,7 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
   Result<std::uint64_t> k_result =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance));
   if (!k_result.ok() || trials == 0) return estimate;
-  const PrimePool pool(k_result.value());
+  const std::uint64_t k = k_result.value();
   const Claim1Collisions collisions(instance);
   const parallel::SeedSequence seeds(seed);
   struct CollisionTally {
@@ -458,7 +458,7 @@ Claim1Estimate EstimateClaim1CollisionRateBatched(
         // One scratch per worker thread, reused by every group it runs.
         thread_local Claim1Collisions::Scratch scratch;
         for (std::uint64_t c = 0; c < count; ++c) {
-          Result<std::uint64_t> p = pool.Sample(rng);
+          Result<std::uint64_t> p = RandomPrimeAtMost(k, rng);
           if (p.ok() && collisions.HasCollision(p.value(), scratch)) {
             ++local.collisions;
           }

@@ -153,9 +153,10 @@ Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
     simd::SimdLevel level = simd::ProcessSimdLevel());
 
 /// Batched Claim 1 estimator: trial group g (lane-width `lanes`) draws
-/// its `lanes` primes from the Rng of its first trial index and tests
-/// each for a collision on one `Claim1Collisions` built per call, so
-/// the values are sorted and numbered once, not once per prime. The
+/// its `lanes` primes with RandomPrimeAtMost from the Rng of its first
+/// trial index, never sieving, and tests each for a collision on one
+/// `Claim1Collisions` built per call, so the values are sorted and
+/// numbered once, not once per prime. The
 /// tally is a pure function of (instance, trials, seed, lanes) —
 /// identical at any thread count. Note the random schedule differs from
 /// the unbatched estimator (one draw per trial Rng there, `lanes` draws

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "fingerprint/prime.h"
-
 namespace rstlab::fingerprint {
 
 PrimePool::PrimePool(std::uint64_t k, std::uint64_t sieve_limit) : k_(k) {
@@ -20,15 +18,6 @@ PrimePool::PrimePool(std::uint64_t k, std::uint64_t sieve_limit) : k_(k) {
     if (!composite[static_cast<std::size_t>(p)]) primes_.push_back(p);
   }
   sieved_ = true;
-}
-
-Result<std::uint64_t> PrimePool::Sample(Rng& rng) const {
-  if (sieved_) {
-    // k >= 2 guarantees at least one prime.
-    return primes_[static_cast<std::size_t>(
-        rng.UniformBelow(primes_.size()))];
-  }
-  return RandomPrimeAtMost(k_, rng);
 }
 
 }  // namespace rstlab::fingerprint

@@ -6,7 +6,7 @@
 
 #include "fingerprint/batch.h"
 #include "fingerprint/fingerprint.h"
-#include "fingerprint/prime_pool.h"
+#include "fingerprint/prime.h"
 #include "parallel/seed_sequence.h"
 #include "parallel/trial_runner.h"
 #include "problems/generators.h"
@@ -166,13 +166,12 @@ std::uint64_t ReferenceBatchedCollisions(const problems::Instance& instance,
                                          std::uint64_t lanes) {
   const std::uint64_t k =
       ComputeFingerprintK(instance.m(), MaxValueBits(instance)).value();
-  const PrimePool pool(k);
   const parallel::SeedSequence seeds(seed);
   std::uint64_t collisions = 0;
   for (std::uint64_t first = 0; first < trials; first += lanes) {
     Rng rng = seeds.RngForTrial(first);
     for (std::uint64_t c = 0; c < std::min(lanes, trials - first); ++c) {
-      const Result<std::uint64_t> p = pool.Sample(rng);
+      const Result<std::uint64_t> p = RandomPrimeAtMost(k, rng);
       if (p.ok() && PairwiseCollision(instance, p.value())) ++collisions;
     }
   }

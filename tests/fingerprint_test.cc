@@ -275,27 +275,13 @@ TEST(PrimePoolTest, SieveMatchesMillerRabin) {
   }
 }
 
-TEST(PrimePoolTest, SampleDrawsOnlyPrimesInRange) {
-  const PrimePool pool(500);
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    Result<std::uint64_t> p = pool.Sample(rng);
-    ASSERT_TRUE(p.ok());
-    EXPECT_LE(p.value(), 500u);
-    EXPECT_TRUE(IsPrime(p.value()));
-  }
-}
-
-TEST(PrimePoolTest, FallsBackAboveSieveLimit) {
-  // A pool whose k exceeds the sieve limit samples via Miller-Rabin.
+TEST(PrimePoolTest, StaysEmptyAboveSieveLimit) {
+  // A pool whose k exceeds the sieve limit allocates no sieve.
   const PrimePool pool(1 << 20, /*sieve_limit=*/1 << 10);
+  EXPECT_EQ(pool.k(), std::uint64_t{1} << 20);
   EXPECT_FALSE(pool.sieved());
   EXPECT_TRUE(pool.primes().empty());
-  Rng rng(7);
-  Result<std::uint64_t> p = pool.Sample(rng);
-  ASSERT_TRUE(p.ok());
-  EXPECT_LE(p.value(), std::uint64_t{1} << 20);
-  EXPECT_TRUE(IsPrime(p.value()));
+  EXPECT_EQ(pool.Count(), 0u);
 }
 
 // ---------------------------------------------------------------------
