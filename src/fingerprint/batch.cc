@@ -27,6 +27,10 @@ constexpr std::uint64_t kShoupDomain = std::uint64_t{1} << 31;
 /// Lane-group width of the kernels; batches are padded up to it.
 constexpr std::size_t kGroup = 4;
 
+/// The wide path reads exponents in windows of this many bits.
+constexpr unsigned kWindowBits = 4;
+constexpr unsigned kWindowDigits = 1u << kWindowBits;
+
 /// Parameters of the padding lanes: any tiny valid triple works — the
 /// padded lanes' sums are computed (branchlessly, like all lanes) and
 /// then simply never copied out.
@@ -272,33 +276,46 @@ BatchFingerprintEngine::BatchFingerprintEngine(FingerprintParamBatch batch,
   std::copy(batch_.p2.begin(), batch_.p2.end(), p2_.begin());
   std::copy(batch_.x.begin(), batch_.x.end(), x_.begin());
 
-  // Tables: row j holds x^(2^j) mod p2 for every exponent bit the
-  // residues e < p1 can have, built by Montgomery squaring. Narrow
-  // batches store the rows in normal form with the Shoup companions of
-  // the 32-bit kernels; wide ones keep them in Montgomery form, so that
-  // Mul(power, row) of a normal-form power is again in normal form.
+  // The tables cover every exponent bit the residues e < p1 can have.
   std::uint64_t max_e = 1;
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     max_e = std::max(max_e, batch_.p1[lane] - 1);
   }
   table_levels_ = static_cast<unsigned>(std::bit_width(max_e));
+  if (!narrow_) {
+    // Row w * 16 + d holds x^(d * 16^w) mod p2 in Montgomery form, so
+    // that x^e is one multiply per 4-bit window of e.
+    windows_ = (table_levels_ + kWindowBits - 1) / kWindowBits;
+    xpow_.resize(static_cast<std::size_t>(windows_) * kWindowDigits *
+                 padded_);
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const Montgomery& mont = mont_p2_[lane];
+      std::uint64_t base = mont.ToMont(x_[lane]);  // x^(16^w)
+      for (unsigned w = 0; w < windows_; ++w) {
+        std::uint64_t power = mont.ToMont(1);
+        for (unsigned d = 0; d < kWindowDigits; ++d) {
+          xpow_[(w * kWindowDigits + d) * padded_ + lane] = power;
+          power = mont.Mul(power, base);
+        }
+        base = power;
+      }
+    }
+    return;
+  }
+  // Row j holds x^(2^j) mod p2, built by Montgomery squaring, with the
+  // Shoup companion of the 32-bit kernels.
   xpow_.resize(static_cast<std::size_t>(table_levels_) * padded_);
-  if (narrow_) xshoup_.resize(xpow_.size());
+  xshoup_.resize(xpow_.size());
   for (std::size_t lane = 0; lane < padded_; ++lane) {
     const Montgomery mont(p2_[lane]);
     std::uint64_t w = mont.ToMont(x_[lane]);
     for (unsigned j = 0; j < table_levels_; ++j) {
       const std::size_t at = static_cast<std::size_t>(j) * padded_ + lane;
-      if (narrow_) {
-        xpow_[at] = mont.Reduce(w);
-        xshoup_[at] = (xpow_[at] << 32) / p2_[lane];
-      } else {
-        xpow_[at] = w;
-      }
+      xpow_[at] = mont.Reduce(w);
+      xshoup_[at] = (xpow_[at] << 32) / p2_[lane];
       w = mont.Mul(w, w);
     }
   }
-  if (!narrow_) return;
 #if defined(RSTLAB_BATCH_AVX2)
   use_avx2_ = __builtin_cpu_supports("avx2") != 0;
 #endif
@@ -331,9 +348,10 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
     // Out-of-domain moduli: keep the one-pass schedule (all lanes'
     // residues advance during a single scan of each value's bits) but
     // run the arithmetic in exact scalar u64 / Montgomery form. x^e is
-    // the product of the table rows at e's set bits: popcount(e) Muls,
-    // each taking the normal-form power times a Montgomery-form row to
-    // a normal-form product.
+    // the product of one table row per 4-bit window of e, kept as two
+    // independent chains so their multiplies overlap: the even windows
+    // in normal form (a normal-form value times a Montgomery-form row
+    // is the normal-form product) and the odd ones in Montgomery form.
     const std::size_t lanes = batch_.lanes();
     std::vector<std::uint64_t> residues(lanes);
     for (const BitString& v : values) {
@@ -348,12 +366,19 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
       }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         const Montgomery& mont = mont_p2_[lane];
-        std::uint64_t power = 1;
-        for (std::uint64_t e = residues[lane]; e != 0; e &= e - 1) {
-          const std::size_t row =
-              static_cast<std::size_t>(std::countr_zero(e));
-          power = mont.Mul(power, xpow_[row * padded_ + lane]);
+        const std::uint64_t e = residues[lane];
+        const auto row = [&](unsigned w) {
+          const std::uint64_t digit =
+              (e >> (w * kWindowBits)) & (kWindowDigits - 1);
+          return xpow_[(w * kWindowDigits + digit) * padded_ + lane];
+        };
+        std::uint64_t even = 1;
+        std::uint64_t odd = xpow_[lane];  // x^0 in Montgomery form
+        for (unsigned w = 0; w < windows_; w += 2) {
+          even = mont.Mul(even, row(w));
+          if (w + 1 < windows_) odd = mont.Mul(odd, row(w + 1));
         }
+        const std::uint64_t power = mont.Mul(even, odd);
         sums[lane] += power;
         if (sums[lane] >= batch_.p2[lane]) sums[lane] -= batch_.p2[lane];
       }

@@ -71,12 +71,13 @@ struct BatchTally {
 /// Evaluates a fixed parameter batch against instances.
 ///
 /// Construction precomputes, per lane, the Montgomery context of p2
-/// and, for the one-pass levels, the table of squared powers
-/// x^(2^j) mod p2, padded to the lane-group width. When every lane fits
-/// the 32-bit Shoup kernel (p1, p2 < 2^31: small shapes only, k below
-/// ~7.2e8) the table also holds Shoup companions for the vector
-/// kernels; otherwise it holds the rows in Montgomery form and the
-/// one-pass loop multiplies them in with exact Montgomery Muls.
+/// and, for the one-pass levels, a power table padded to the lane-group
+/// width. When every lane fits the 32-bit Shoup kernel (p1, p2 < 2^31:
+/// small shapes only, k below ~7.2e8) it holds the squared powers
+/// x^(2^j) mod p2 with Shoup companions for the vector kernels;
+/// otherwise it holds x^(d * 16^w) mod p2 in Montgomery form and the
+/// one-pass loop forms x^e with one exact Montgomery Mul per 4-bit
+/// window of e.
 /// `Evaluate` then makes ONE pass over the value stream: each value's
 /// bits update every lane's residue accumulator, and each finished
 /// residue multiplies every lane's sum via the precomputed tables.
@@ -126,10 +127,12 @@ class BatchFingerprintEngine {
   bool vectorized_ = false;
   std::size_t padded_ = 0;   // lanes rounded up to the group width
   unsigned table_levels_ = 0;
+  unsigned windows_ = 0;     // 4-bit windows of the exponent; wide only
   std::vector<std::uint64_t> p1_;     // padded SoA copies
   std::vector<std::uint64_t> p2_;
   std::vector<std::uint64_t> x_;
-  // [j * padded_ + lane] = x^(2^j) mod p2; in Montgomery form when wide
+  // Narrow: [j * padded_ + lane] = x^(2^j) mod p2. Wide:
+  // [(w * 16 + d) * padded_ + lane] = x^(d * 16^w) mod p2, Montgomery form.
   std::vector<std::uint64_t> xpow_;
   std::vector<std::uint64_t> xshoup_;  // floor(xpow << 32 / p2); narrow only
   std::vector<Montgomery> mont_p2_;    // one per real lane
