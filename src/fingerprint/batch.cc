@@ -343,30 +343,21 @@ void BatchFingerprintEngine::EvaluateSideScalar(
 
 void BatchFingerprintEngine::EvaluateSideOnePass(
     const std::vector<BitString>& values, std::uint64_t* sums) const {
-  std::vector<std::uint8_t> bits;
   if (!narrow_) {
-    // Out-of-domain moduli: keep the one-pass schedule (all lanes'
-    // residues advance during a single scan of each value's bits) but
-    // run the arithmetic in exact scalar u64 / Montgomery form. x^e is
-    // the product of one table row per 4-bit window of e, kept as two
-    // independent chains so their multiplies overlap: the even windows
-    // in normal form (a normal-form value times a Montgomery-form row
-    // is the normal-form product) and the odd ones in Montgomery form.
+    // Out-of-domain moduli: keep the value-major schedule (each value
+    // is read once for all lanes) but run the arithmetic in exact
+    // scalar u64 / Montgomery form. e = v mod p1 is ModUint64's one
+    // division per 64-bit word, far cheaper than a bit-serial residue
+    // per lane. x^e is the product of one table row per 4-bit window of
+    // e, kept as two independent chains so their multiplies overlap:
+    // the even windows in normal form (a normal-form value times a
+    // Montgomery-form row is the normal-form product) and the odd ones
+    // in Montgomery form.
     const std::size_t lanes = batch_.lanes();
-    std::vector<std::uint64_t> residues(lanes);
     for (const BitString& v : values) {
-      ExtractBits(v, bits);
-      std::fill(residues.begin(), residues.end(), 0);
-      for (const std::uint8_t b : bits) {
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          std::uint64_t r = (residues[lane] << 1) + b;
-          if (r >= batch_.p1[lane]) r -= batch_.p1[lane];
-          residues[lane] = r;
-        }
-      }
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         const Montgomery& mont = mont_p2_[lane];
-        const std::uint64_t e = residues[lane];
+        const std::uint64_t e = v.ModUint64(batch_.p1[lane]);
         const auto row = [&](unsigned w) {
           const std::uint64_t digit =
               (e >> (w * kWindowBits)) & (kWindowDigits - 1);
@@ -385,6 +376,7 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
     }
     return;
   }
+  std::vector<std::uint8_t> bits;
   const bool wide_groups =
       level_ == simd::SimdLevel::kLanes8 && padded_ >= 2 * kGroup;
   for (const BitString& v : values) {

@@ -78,9 +78,10 @@ struct BatchTally {
 /// otherwise it holds x^(d * 16^w) mod p2 in Montgomery form and the
 /// one-pass loop forms x^e with one exact Montgomery Mul per 4-bit
 /// window of e.
-/// `Evaluate` then makes ONE pass over the value stream: each value's
-/// bits update every lane's residue accumulator, and each finished
-/// residue multiplies every lane's sum via the precomputed tables.
+/// `Evaluate` then makes ONE pass over the value stream: each value
+/// yields every lane's residue (bit by bit in the narrow kernels, by
+/// ModUint64 in the wide loop), and each residue adds x^e to its lane's
+/// sum via the precomputed tables.
 ///
 /// The level picks the schedule, never the result:
 ///   kScalar         lane-major reference loop (ModUint64 + Montgomery
