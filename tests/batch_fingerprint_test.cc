@@ -130,6 +130,26 @@ TEST(BatchEngineTest, WideModuliFallBackExactly) {
     EXPECT_EQ(engine.Evaluate(instance).lane_accepted, expected)
         << simd::SimdLevelName(level);
   }
+
+  // At the benchmark's shape (k ~ 9e13, so p1 has ~46 bits and x^e
+  // spans 12 four-bit windows) the one-pass sums, not just verdicts,
+  // equal the lane-major square-and-multiply path's on unequal lists.
+  Result<FingerprintParamBatch> deep =
+      SampleFingerprintParamBatch(4096, 32, 5, rng);
+  ASSERT_TRUE(deep.ok());
+  const problems::Instance unequal =
+      problems::PerturbedMultisets(64, 32, 3, rng);
+  const BatchTally reference =
+      BatchFingerprintEngine(deep.value(), SimdLevel::kScalar)
+          .Evaluate(unequal);
+  for (const SimdLevel level : {SimdLevel::kLanes4, SimdLevel::kLanes8}) {
+    const BatchTally tally =
+        BatchFingerprintEngine(deep.value(), level).Evaluate(unequal);
+    EXPECT_EQ(tally.sum_first, reference.sum_first)
+        << simd::SimdLevelName(level);
+    EXPECT_EQ(tally.sum_second, reference.sum_second)
+        << simd::SimdLevelName(level);
+  }
 }
 
 TEST(BatchEngineTest, BatchedClaim1IdenticalAcrossThreads) {
