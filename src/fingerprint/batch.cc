@@ -346,13 +346,12 @@ void BatchFingerprintEngine::EvaluateSideOnePass(
   if (!narrow_) {
     // Out-of-domain moduli: keep the value-major schedule (each value
     // is read once for all lanes) but run the arithmetic in exact
-    // scalar u64 / Montgomery form. e = v mod p1 is ModUint64's one
-    // division per 64-bit word, far cheaper than a bit-serial residue
-    // per lane. x^e is the product of one table row per 4-bit window of
-    // e, kept as two independent chains so their multiplies overlap:
-    // the even windows in normal form (a normal-form value times a
-    // Montgomery-form row is the normal-form product) and the odd ones
-    // in Montgomery form.
+    // scalar u64 / Montgomery form, with e = v mod p1 from ModUint64
+    // (one division per 64-bit word). x^e is the product of one table
+    // row per 4-bit window of e, kept as two independent chains so
+    // their multiplies overlap: the even windows in normal form (a
+    // normal-form value times a Montgomery-form row is the normal-form
+    // product) and the odd ones in Montgomery form.
     const std::size_t lanes = batch_.lanes();
     for (const BitString& v : values) {
       for (std::size_t lane = 0; lane < lanes; ++lane) {

@@ -160,11 +160,11 @@ Result<AmplifiedOutcome> TestMultisetEqualityAmplified(
 /// its `lanes` primes with RandomPrimeAtMost from the Rng of its first
 /// trial index, never sieving, and tests each for a collision on one
 /// `Claim1Collisions` built per call, so the values are sorted and
-/// numbered once, not once per prime. The
-/// tally is a pure function of (instance, trials, seed, lanes) —
-/// identical at any thread count. Note the random schedule differs from
-/// the unbatched estimator (one draw per trial Rng there, `lanes` draws
-/// per group Rng here), so compare rates, not bits, across the two APIs.
+/// numbered once, not once per prime. The tally is a pure function of
+/// (instance, trials, seed, lanes) — identical at any thread count.
+/// Note the random schedule differs from the unbatched estimator (one
+/// draw per trial Rng there, `lanes` draws per group Rng here), so
+/// compare rates, not bits, across the two APIs.
 Claim1Estimate EstimateClaim1CollisionRateBatched(
     const problems::Instance& instance, std::size_t trials,
     std::uint64_t seed, parallel::TrialRunner& runner, std::size_t lanes);
